@@ -159,7 +159,12 @@ def cmd_rho_ess(args):
 
 def cmd_certify(args):
     matrices = load_sequence(args.sequence)
-    cert = certify_averaging(matrices, args.p)
+    if args.x0 is None:
+        sim = None
+        cert = certify_averaging(matrices, args.p)
+    else:
+        sim = simulate_and_check(matrices, load_vector(args.x0), args.p)
+        cert = sim["certificate"]
     payload = {
         "rate": cert.rate,
         "per_step": cert.per_step,
@@ -169,8 +174,7 @@ def cmd_certify(args):
         "theorem_route": cert.theorem_route,
     }
     residuals = {}
-    if args.x0 is not None:
-        sim = simulate_and_check(matrices, load_vector(args.x0), args.p)
+    if sim is not None:
         payload["trajectory_seminorms"] = sim["trajectory_seminorms"]
         payload["bound_satisfied"] = sim["bound_satisfied"]
         overshoot = max(

@@ -6,8 +6,13 @@ Exact closed forms for p in {1, 2, inf}:
            vertices supported on two coordinates, giving
            tau_1 = max_{i<j} ||v_j A_i - v_i A_j||_1 / (|v_i| + |v_j|)
            over rows A_i of A.
-  p = inf  column-wise LP: tau_inf = max_k min_mu ||A_{.k} - mu v||_1, the
-           minimum over the finitely many kink multipliers mu = A_ik / v_i.
+  p = inf  column-wise LP: tau_inf = max_k min_mu ||A_{.k} - mu v||_1.  Each
+           column's objective is convex and piecewise linear in mu with kinks
+           at A_ik / v_i, so its minimum sits at a weighted median of the
+           kinks with weights |v_i|.  `_column_medians` solves every column
+           at once by sort and cumulative sum; the same routine gives
+           Psi_1(v, A) and its minimizer c in `seminorm.deflated_norm`, so
+           the duality tau_inf = Psi_1 holds by construction.
   p = 2    restriction to a subspace is exact in the Euclidean norm:
            tau_2 = ||P_v A||_2, the largest singular value.
 
@@ -40,37 +45,45 @@ class ErgodicityResult:
 
 
 def _tau_l1(v, A):
-    m = len(v)
+    # row-major storage makes every row sum, down to the last bit,
+    # independent of how the caller laid A out
+    A = np.ascontiguousarray(A)
     absv = np.abs(v)
     rownorm1 = np.sum(np.abs(A), axis=1)
     best = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            den = absv[i] + absv[j]
-            if den == 0.0:
-                # both coordinates unconstrained: the slice contains +-e_i, +-e_j
-                best = max(best, rownorm1[i], rownorm1[j])
-                continue
-            val = np.sum(np.abs(v[j] * A[i] - v[i] * A[j])) / den
-            if val > best:
-                best = val
+    for i in range(len(v) - 1):
+        den = absv[i] + absv[i + 1:]
+        dist = np.sum(np.abs(v[i + 1:, None] * A[i] - v[i] * A[i + 1:]), axis=1)
+        # den == 0: both coordinates unconstrained, the slice contains +-e_i, +-e_j
+        vals = np.divide(dist, den, out=np.maximum(rownorm1[i], rownorm1[i + 1:]),
+                         where=den != 0.0)
+        best = max(best, float(np.max(vals)))
     return float(best)
 
 
-def _tau_linf(v, A):
-    mask = np.abs(v) > 0.0
-    if not mask.any():
-        raise PreconditionError("anchor must be nonzero")
-    vk = v[mask]
-    best = 0.0
-    for k in range(A.shape[1]):
-        b = A[:, k]
-        mus = b[mask] / vk
-        # convex piecewise-linear in mu; the minimum sits at a kink
-        val = min(float(np.sum(np.abs(b - mu * v))) for mu in mus)
-        if val > best:
-            best = val
-    return float(best)
+def _column_medians(v, A):
+    """min_mu ||A_{.k} - mu v||_1 and a minimizing mu, for every column k.
+
+    The objective is convex and piecewise linear in mu, with a kink at
+    A_ik / v_i of weight |v_i| for each row with v_i != 0, so a weighted
+    median of the kinks minimizes it.  Kinks are stable-sorted per column
+    and the weights accumulated; the objective is evaluated at the lower and
+    the upper weighted median (they differ only where the minimum is flat)
+    and the smaller value is kept.
+    """
+    mask = v != 0.0
+    At = np.ascontiguousarray(A.T)  # contiguous rows, as in _tau_l1
+    kinks = At[:, mask] / v[mask]
+    order = np.argsort(kinks, axis=1, kind="stable")
+    kinks = np.take_along_axis(kinks, order, axis=1)
+    cum = np.cumsum(np.abs(v[mask])[order], axis=1)
+    half = 0.5 * cum[:, -1:]
+    cols = np.arange(At.shape[0])
+    mus = np.stack([kinks[cols, np.argmax(cum >= half, axis=1)],
+                    kinks[cols, np.argmax(cum > half, axis=1)]])
+    vals = np.sum(np.abs(At - mus[:, :, None] * v), axis=2)
+    upper = vals[1] < vals[0]
+    return np.where(upper, vals[1], vals[0]), np.where(upper, mus[1], mus[0])
 
 
 def _tau_l2(v, A):
@@ -93,28 +106,27 @@ def tau(v, A, p):
     if p == 1:
         return ErgodicityResult(_tau_l1(v, A), 1, "pairwise-form", v)
     if p == INF:
-        return ErgodicityResult(_tau_linf(v, A), INF, "column-form", v)
+        values, _ = _column_medians(v, A)
+        return ErgodicityResult(float(np.max(values, initial=0.0)), INF, "column-form", v)
     return ErgodicityResult(_tau_l2(v, A), 2, "projector-form", v)
 
 
 def dobrushin(A):
     """tau_1 of a row-stochastic matrix through both classical formulas.
 
-    Computes half the maximum pairwise l1 row distance and the complementary
-    overlap form 1 - min_{i,j} sum_k min(A_ik, A_jk); disagreement beyond
-    1e-12 signals corrupted input rather than a value to average.
+    The half maximum pairwise l1 row distance is tau_1 with the all-ones
+    anchor; the complementary overlap form 1 - min_{i<j} sum_k min(A_ik, A_jk)
+    is computed independently, and disagreement beyond 1e-12 signals
+    corrupted input rather than a value to average.
     """
     if not isinstance(A, StochasticMatrix):
         A = StochasticMatrix(A)
-    M = A.matrix
+    M = np.ascontiguousarray(A.matrix)
     n = A.n
-    halfsum = 0.0
+    value_half = _tau_l1(np.ones(n), M)
     minsum = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            halfsum = max(halfsum, 0.5 * float(np.sum(np.abs(M[i] - M[j]))))
-            minsum = min(minsum, float(np.sum(np.minimum(M[i], M[j]))))
-    value_half = halfsum
+    for i in range(n - 1):
+        minsum = min(minsum, float(np.min(np.sum(np.minimum(M[i], M[i + 1:]), axis=1))))
     value_min = 1.0 - minsum if n > 1 else 0.0
     if abs(value_half - value_min) > DOBRUSHIN_CROSS_TOL:
         raise CrossCheckError(

@@ -8,7 +8,7 @@ validation gates every public operation goes through.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -255,7 +255,6 @@ class EigenDecomposition:
     basis: np.ndarray | None
     schur_t: np.ndarray
     schur_z: np.ndarray
-    basis_condition: float = field(default=math.inf)
 
 
 def eigendecompose(A, cond_threshold=DIAGONALIZABLE_COND):
@@ -278,10 +277,4 @@ def eigendecompose(A, cond_threshold=DIAGONALIZABLE_COND):
         basis=vectors if diagonalizable else None,
         schur_t=schur_t,
         schur_z=schur_z,
-        basis_condition=cond,
     )
-
-
-def pseudo_inverse(R):
-    """Moore-Penrose inverse via SVD with the default singular-value cutoff."""
-    return np.linalg.pinv(as_matrix(R))

@@ -2,12 +2,13 @@
 
 CSV is one row per line with unquoted decimal fields.  JSON is either
 {"rows": n, "cols": m, "data": [row-major]} or plain nested lists.  Both
-parsers reject ragged input.
+parsers reject ragged input and non-finite entries (nan, inf, NaN, Infinity).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ def parse_csv_matrix(text):
             row = [float(f) for f in fields]
         except ValueError:
             raise InputFormatError(f"line {lineno}: non-numeric field")
+        if not all(math.isfinite(x) for x in row):
+            raise InputFormatError(f"line {lineno}: non-finite field")
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -35,6 +38,12 @@ def parse_csv_matrix(text):
     if not rows:
         raise InputFormatError("empty matrix file")
     return np.array(rows, dtype=float)
+
+
+def _finite(M):
+    if not np.all(np.isfinite(M)):
+        raise InputFormatError("matrix data must be finite")
+    return M
 
 
 def parse_json_matrix(obj):
@@ -48,9 +57,10 @@ def parse_json_matrix(obj):
         if len(data) != rows * cols:
             raise InputFormatError(f"expected {rows * cols} entries, got {len(data)}")
         try:
-            return np.array(data, dtype=float).reshape(rows, cols)
+            M = np.array(data, dtype=float).reshape(rows, cols)
         except (TypeError, ValueError):
             raise InputFormatError("matrix data must be numeric")
+        return _finite(M)
     if isinstance(obj, list):
         if not obj or not all(isinstance(r, list) for r in obj):
             raise InputFormatError("JSON matrix must be a non-empty list of rows")
@@ -58,9 +68,10 @@ def parse_json_matrix(obj):
         if any(len(r) != width for r in obj):
             raise InputFormatError("ragged rows in JSON matrix")
         try:
-            return np.array(obj, dtype=float)
+            M = np.array(obj, dtype=float)
         except (TypeError, ValueError):
             raise InputFormatError("matrix data must be numeric")
+        return _finite(M)
     raise InputFormatError("unsupported JSON matrix payload")
 
 

@@ -22,7 +22,7 @@ from .errors import CrossCheckError, PreconditionError
 from .linalg import (INF, as_matrix, as_pnorm, as_vector, agreement_projector,
                      incidence_complete, induced_pnorm, oblique_projector,
                      orthogonal_projector)
-from .ergodicity import tau
+from .ergodicity import _column_medians, tau
 
 FACTOR_COND_LIMIT = 1e12
 KERNEL_INVARIANCE_TOL = 1e-8
@@ -197,23 +197,6 @@ def _deflate_l2(v, A):
     return float(np.linalg.norm(A - np.outer(v, c), 2)), c
 
 
-def _deflate_l1(v, A):
-    # max-column-sum objective separates per column; each column is a
-    # one-dimensional weighted-median problem with kinks at A_ik / v_i
-    mask = np.abs(v) > 0.0
-    vk = v[mask]
-    c = np.zeros(A.shape[1])
-    worst = 0.0
-    for k in range(A.shape[1]):
-        b = A[:, k]
-        mus = b[mask] / vk
-        vals = np.array([np.sum(np.abs(b - mu * v)) for mu in mus])
-        best = int(np.argmin(vals))
-        c[k] = mus[best]
-        worst = max(worst, float(vals[best]))
-    return worst, c
-
-
 def _deflate_linf(v, A):
     # LP: minimize t subject to sum_j |A_ij - v_i c_j| <= t for every row i
     m, n = A.shape
@@ -267,7 +250,10 @@ def deflated_norm(v, A, q):
         value, c = _deflate_l2(v, A)
         return DeflationResult(value, c, 2)
     if q == 1:
-        value, c = _deflate_l1(v, A)
+        # max-column-sum objective separates per column into the weighted
+        # median problems behind tau_inf
+        values, c = _column_medians(v, A)
+        value = float(np.max(values, initial=0.0))
     else:
         value, c = _deflate_linf(v, A)
     c_proj = A.T @ v / float(v @ v)

@@ -61,8 +61,7 @@ def _unwrap(A):
     return A, primitive
 
 
-def _dominant_right(A):
-    decomp = eigendecompose(A)
+def _dominant_right(A, decomp):
     vec = decomp.values[0]
     v = decomp.basis[:, 0] if decomp.basis is not None else None
     if v is None or np.max(np.abs(np.imag(v))) > 1e-9 or abs(np.imag(vec)) > 1e-9:
@@ -97,7 +96,7 @@ def ess_spectral_radius(A):
         rho = 0.0
     else:
         rho = float(moduli[1]) if len(moduli) > 1 else 0.0
-    v = _dominant_right(M)
+    v = _dominant_right(M, decomp)
     if primitive:
         P = orthogonal_projector(v)
         rho_deflated = float(np.max(np.abs(np.linalg.eigvals(P @ M))))

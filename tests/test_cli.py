@@ -46,6 +46,16 @@ def test_tau_ragged_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_tau_non_finite_exits_2(tmp_path, capsys):
+    for name, text in (("nan.csv", "0.5,nan\n0.5,0.5\n"), ("inf.csv", "0.5,inf\n0.5,0.5\n"),
+                       ("nan.json", "[[0.5, NaN], [0.5, 0.5]]")):
+        p = tmp_path / name
+        p.write_text(text)
+        code, report = run_cli(capsys, "tau", str(p), "--p", "inf")
+        assert code == 2
+        assert report is None
+
+
 def test_tau_stationary_anchor(a22, capsys):
     code, report = run_cli(capsys, "tau", str(a22), "--p", "2", "--anchor", "stationary")
     assert code == 0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ergo import (INF, CrossCheckError, PreconditionError, StochasticMatrix,
-                  dobrushin, dominant_pair, induced_pnorm, oracle_tau, tau,
-                  tau_oblique)
+                  deflated_norm, dobrushin, dominant_pair, induced_pnorm,
+                  oracle_tau, tau, tau_oblique)
 
 rng = np.random.default_rng(7)
 
@@ -129,3 +129,69 @@ def test_dobrushin_cross_formula_guard():
     S.matrix = S.matrix + rng.uniform(0.2, 0.4, (3, 3))
     with pytest.raises(CrossCheckError):
         dobrushin(S)
+
+
+def _kink_minima(v, A):
+    """min_mu ||A_k - mu v||_1 per column, trying every kink A_ik / v_i."""
+    mask = v != 0.0
+    minima = []
+    for b in A.T:
+        kinks = b[mask] / v[mask]
+        minima.append(min(float(np.sum(np.abs(b - mu * v))) for mu in kinks))
+    return minima
+
+
+def _pairwise_tau1(v, A):
+    best = 0.0
+    for i in range(len(v)):
+        for j in range(i + 1, len(v)):
+            den = abs(v[i]) + abs(v[j])
+            if den == 0.0:
+                best = max(best, np.sum(np.abs(A[i])), np.sum(np.abs(A[j])))
+            else:
+                best = max(best, np.sum(np.abs(v[j] * A[i] - v[i] * A[j])) / den)
+    return float(best)
+
+
+def _pairwise_dobrushin(M):
+    n = len(M)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    halfsum = max(0.5 * np.sum(np.abs(M[i] - M[j])) for i, j in pairs)
+    overlap = 1.0 - min(np.sum(np.minimum(M[i], M[j])) for i, j in pairs)
+    return float(halfsum), float(overlap)
+
+
+def test_kernels_match_literal_references_beyond_oracle_cap():
+    # tau_inf = Psi_1 holds by construction, so both sides are checked against
+    # an enumeration of every kink, and tau_1 and dobrushin against the
+    # double pair loop, at sizes the vertex oracles cannot reach
+    local = np.random.default_rng(11)
+    sizes = (7, 16, 40)
+    for m in sizes:
+        for n in sizes:
+            ones = np.ones(m)  # flat medians at even m
+            zeroed = local.standard_normal(m)
+            zeroed[local.random(m) < 0.35] = 0.0
+            zeroed[0] = 1.0
+            mixed = local.standard_normal(m)
+            small = local.integers(-2, 3, m).astype(float)
+            small[0] = 1.0
+            cases = ((ones, local.uniform(0.0, 1.0, (m, n))),
+                     (zeroed, local.uniform(-1.0, 1.0, (m, n))),
+                     (mixed, local.standard_normal((m, n))),
+                     (small, local.integers(-2, 3, (m, n)).astype(float)),
+                     (ones, local.integers(0, 3, (m, n)).astype(float)))
+            for v, A in cases:
+                expected = max(_kink_minima(v, A))
+                assert tau(v, A, INF).value == pytest.approx(expected, rel=1e-12)
+                res = deflated_norm(v, A, 1)
+                assert res.value == pytest.approx(expected, rel=1e-12)
+                attained = induced_pnorm(A - np.outer(v, res.c_star), 1)
+                assert attained == pytest.approx(res.value, rel=1e-12)
+                assert tau(v, A, 1).value == pytest.approx(_pairwise_tau1(v, A), rel=1e-12)
+        counts = local.integers(0, 3, (m, m)).astype(float) + np.eye(m)
+        for M in (local.uniform(0.0, 1.0, (m, m)) + 0.01, counts):
+            S = StochasticMatrix(M / M.sum(axis=1, keepdims=True))
+            halfsum, overlap = _pairwise_dobrushin(S.matrix)
+            assert dobrushin(S).value == pytest.approx(halfsum, rel=1e-12)
+            assert dobrushin(S).value == pytest.approx(overlap, rel=1e-12)

@@ -4,7 +4,7 @@ import pytest
 from ergo import (INF, PreconditionError, StochasticMatrix, as_distribution,
                   as_pnorm, conjugate_pnorm, dominant_pair, eigendecompose,
                   incidence_complete, induced_pnorm, oblique_projector,
-                  orthogonal_projector, agreement_projector, pseudo_inverse)
+                  orthogonal_projector, agreement_projector)
 
 rng = np.random.default_rng(2024)
 
@@ -196,23 +196,6 @@ def test_eigendecompose():
     jordan = eigendecompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert not jordan.diagonalizable
     assert jordan.schur_t.shape == (2, 2)
-
-
-def test_pseudo_inverse():
-    S = rng.uniform(1.0, 2.0, (3, 3)) + np.eye(3)
-    assert np.allclose(pseudo_inverse(S), np.linalg.inv(S), atol=1e-10)
-    P = orthogonal_projector([1.0, 1.0, 1.0])
-    assert np.allclose(pseudo_inverse(P), P, atol=1e-12)
-    Z = np.zeros((2, 3))
-    assert pseudo_inverse(Z).shape == (3, 2)
-    assert np.all(pseudo_inverse(Z) == 0.0)
-    for _ in range(5):
-        R = rng.standard_normal((3, 5))
-        Rp = pseudo_inverse(R)
-        assert np.max(np.abs(R @ Rp @ R - R)) < 1e-10
-        assert np.max(np.abs(Rp @ R @ Rp - Rp)) < 1e-10
-        assert np.max(np.abs((R @ Rp) - (R @ Rp).T)) < 1e-10
-        assert np.max(np.abs((Rp @ R) - (Rp @ R).T)) < 1e-10
 
 
 def test_distribution_validation():

@@ -28,6 +28,14 @@ def test_csv_non_numeric_rejected(tmp_path):
         load_matrix(p)
 
 
+def test_csv_non_finite_rejected(tmp_path):
+    for field in ("nan", "inf", "-Infinity", "1e400"):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"0.5,0.5\n0.5,{field}\n")
+        with pytest.raises(InputFormatError, match="line 2"):
+            load_matrix(p)
+
+
 def test_json_object_form(tmp_path):
     p = tmp_path / "a.json"
     p.write_text(json.dumps({"rows": 2, "cols": 2, "data": [0.5, 0.5, 0.25, 0.75]}))
@@ -52,6 +60,18 @@ def test_json_ragged(tmp_path):
     p.write_text("[[1.0, 0.0], [0.0]]")
     with pytest.raises(InputFormatError):
         load_matrix(p)
+
+
+def test_json_non_finite_rejected(tmp_path):
+    p = tmp_path / "a.json"
+    for text in ("[[0.5, NaN], [0.5, 0.5]]",
+                 '{"rows": 1, "cols": 2, "data": [Infinity, 0.0]}'):
+        p.write_text(text)
+        with pytest.raises(InputFormatError):
+            load_matrix(p)
+    p.write_text("[[[0.5, 0.5], [-Infinity, 1.0]]]")
+    with pytest.raises(InputFormatError):
+        load_sequence(p)
 
 
 def test_load_vector(tmp_path):
