@@ -17,7 +17,7 @@ from . import __version__
 from .errors import ErgoError, InputFormatError, PreconditionError
 from .linalg import INF, StochasticMatrix, dominant_pair
 from .matrix_io import load_matrix, load_sequence, load_vector
-from .ergodicity import dobrushin, tau
+from .ergodicity import _overlap_form, dobrushin, tau
 from .seminorm import SeminormWeight, induced_seminorm, kernel_invariance_residual
 from .spectral import ess_spectral_radius, optimal_weight
 from .markov import mixing_time
@@ -69,10 +69,7 @@ def cmd_tau(args):
     S = _try_stochastic(M)
     if S is not None and anchor_tag == "ones" and result.p == 1:
         dob = dobrushin(S)
-        n = S.n
-        minsum = 1.0 - min(
-            float(np.sum(np.minimum(S.matrix[i], S.matrix[j])))
-            for i in range(n) for j in range(i + 1, n)) if n > 1 else 0.0
+        minsum = _overlap_form(S.matrix)
         payload["dobrushin"] = {"halfsum": dob.value, "minsum": minsum}
         residuals["dobrushin_cross_formula"] = abs(dob.value - minsum)
         residuals["dobrushin_vs_tau"] = abs(dob.value - result.value)

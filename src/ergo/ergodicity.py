@@ -69,10 +69,13 @@ def _column_medians(v, A):
     median of the kinks minimizes it.  Kinks are stable-sorted per column
     and the weights accumulated; the objective is evaluated at the lower and
     the upper weighted median (they differ only where the minimum is flat)
-    and the smaller value is kept.
+    and the smaller value is kept.  With v = 0 there are no kinks and every
+    mu is a minimizer; mu = 0 is returned.
     """
     mask = v != 0.0
     At = np.ascontiguousarray(A.T)  # contiguous rows, as in _tau_l1
+    if not mask.any():
+        return np.sum(np.abs(At), axis=1), np.zeros(At.shape[0])
     kinks = At[:, mask] / v[mask]
     order = np.argsort(kinks, axis=1, kind="stable")
     kinks = np.take_along_axis(kinks, order, axis=1)
@@ -111,6 +114,16 @@ def tau(v, A, p):
     return ErgodicityResult(_tau_l2(v, A), 2, "projector-form", v)
 
 
+def _overlap_form(M):
+    """1 - min_{i<j} sum_k min(M_ik, M_jk), the overlap form of the Dobrushin
+    coefficient of a row-stochastic M; 0 for a single row."""
+    M = np.ascontiguousarray(M)
+    if M.shape[0] < 2:
+        return 0.0
+    return 1.0 - min(float(np.min(np.sum(np.minimum(M[i], M[i + 1:]), axis=1)))
+                     for i in range(M.shape[0] - 1))
+
+
 def dobrushin(A):
     """tau_1 of a row-stochastic matrix through both classical formulas.
 
@@ -124,10 +137,7 @@ def dobrushin(A):
     M = np.ascontiguousarray(A.matrix)
     n = A.n
     value_half = _tau_l1(np.ones(n), M)
-    minsum = 1.0
-    for i in range(n - 1):
-        minsum = min(minsum, float(np.min(np.sum(np.minimum(M[i], M[i + 1:]), axis=1))))
-    value_min = 1.0 - minsum if n > 1 else 0.0
+    value_min = _overlap_form(M)
     if abs(value_half - value_min) > DOBRUSHIN_CROSS_TOL:
         raise CrossCheckError(
             f"dobrushin formulas disagree: {value_half!r} vs {value_min!r}")

@@ -134,16 +134,14 @@ def incidence_complete(n):
     """
     if n < 2:
         raise PreconditionError("complete graph incidence needs n >= 2")
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            c = np.zeros(n, dtype=np.int64)
-            c[i] = 1
-            c[j] = -1
-            cols.append(c)
-    return np.column_stack(cols)
+    # off-diagonal positions in row-major order are the pairs (i, j), i != j,
+    # in lexicographic order
+    head, tail = np.nonzero(~np.eye(n, dtype=bool))
+    cols = np.arange(n * (n - 1))
+    C = np.zeros((n, n * (n - 1)), dtype=np.int64)
+    C[head, cols] = 1
+    C[tail, cols] = -1
+    return C
 
 
 def _boolean_primitive(mask, n):

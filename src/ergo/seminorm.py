@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 from .errors import CrossCheckError, PreconditionError
 from .linalg import (INF, as_matrix, as_pnorm, as_vector, agreement_projector,
@@ -27,6 +28,8 @@ from .ergodicity import _column_medians, tau
 FACTOR_COND_LIMIT = 1e12
 KERNEL_INVARIANCE_TOL = 1e-8
 ORACLE_DIMENSION_CAP = 5
+LP_TOL = 1e-10
+DUALITY_GAP_TOL = 1e-9
 
 
 class SeminormWeight:
@@ -192,42 +195,43 @@ def _deflation_value(v, A, c, q):
     return induced_pnorm(A - np.outer(v, c), q)
 
 
-def _deflate_l2(v, A):
-    c = A.T @ v / float(v @ v)
-    return float(np.linalg.norm(A - np.outer(v, c), 2)), c
-
-
 def _deflate_linf(v, A):
-    # LP: minimize t subject to sum_j |A_ij - v_i c_j| <= t for every row i
+    """A minimizer c of max_i ||A_i - v_i c||_1, and the dual weights lam.
+
+    Solved as the LP dual of that problem,
+
+        max sum_ij A_ij y_ij  s.t.  sum_i v_i y_ij = 0 for every column j,
+                                    |y_ij| <= lam_i,  lam >= 0,  sum lam = 1,
+
+    with y_ij = 2 p_ij - lam_i and 0 <= p_ij <= lam_i: mn inequality rows,
+    n + 1 equalities and mn + m nonnegative variables [p, lam].  The
+    multipliers of the column equalities are -c.
+    """
     m, n = A.shape
-    nv = n + m * n + 1
-    obj = np.zeros(nv)
-    obj[-1] = 1.0
-    rows, rhs = [], []
-    for i in range(m):
-        for j in range(n):
-            r = np.zeros(nv)
-            r[j] = -v[i]
-            r[n + i * n + j] = -1.0
-            rows.append(r)
-            rhs.append(-A[i, j])
-            r = np.zeros(nv)
-            r[j] = v[i]
-            r[n + i * n + j] = -1.0
-            rows.append(r)
-            rhs.append(A[i, j])
-    for i in range(m):
-        r = np.zeros(nv)
-        r[n + i * n:n + (i + 1) * n] = 1.0
-        r[-1] = -1.0
-        rows.append(r)
-        rhs.append(0.0)
-    bounds = [(None, None)] * n + [(0, None)] * (m * n) + [(0, None)]
-    res = scipy.optimize.linprog(obj, A_ub=np.array(rows), b_ub=np.array(rhs),
-                                 bounds=bounds, method="highs-ds")
+    mn = m * n
+    row = np.repeat(np.arange(m), n)  # p_ij sits at k = i n + j
+    col = np.tile(np.arange(n), m)
+    k = np.arange(mn)
+    obj = np.concatenate([-2.0 * A.ravel(), A.sum(axis=1)])
+    A_ub = scipy.sparse.coo_array(
+        (np.concatenate([np.ones(mn), -np.ones(mn)]),
+         (np.concatenate([k, k]), np.concatenate([k, mn + row]))), shape=(mn, mn + m))
+    A_eq = scipy.sparse.coo_array(
+        (np.concatenate([2.0 * v[row], -v[row], np.ones(m)]),
+         (np.concatenate([col, col, np.full(m, n)]),
+          np.concatenate([k, mn + row, mn + np.arange(m)]))), shape=(n + 1, mn + m))
+    b_eq = np.zeros(n + 1)
+    b_eq[n] = 1.0
+    # presolve reduces this LP little (at most the p_ij of zero anchor
+    # entries) and costs more set-up time than it saves
+    res = scipy.optimize.linprog(obj, A_ub=A_ub, b_ub=np.zeros(mn), A_eq=A_eq, b_eq=b_eq,
+                                 method="highs-ds",
+                                 options={"presolve": False,
+                                          "primal_feasibility_tolerance": LP_TOL,
+                                          "dual_feasibility_tolerance": LP_TOL})
     if res.status != 0:
         raise CrossCheckError(f"deflation LP failed: {res.message}")
-    return float(res.fun), res.x[:n]
+    return -res.eqlin.marginals[:n], np.maximum(res.x[mn:], 0.0)
 
 
 def deflated_norm(v, A, q):
@@ -235,9 +239,13 @@ def deflated_norm(v, A, q):
 
     For q = 2 the orthogonal-projection vector A^T v / ||v||^2 is the unique
     minimizer.  For q in {1, inf} the minimum is generally strictly below the
-    value at that vector; it is found by weighted medians (q=1) or an LP
-    (q=inf).  Ties are broken toward the projection vector when it is also
-    optimal, which keeps degenerate cases canonical.
+    value at that vector; it is found by weighted medians (q=1) or the
+    compact dual LP of `_deflate_linf` (q=inf).  Ties are broken toward the
+    projection vector when it is also optimal, which keeps degenerate cases
+    canonical.  For q = inf the value is the one attained at `c_star`, and
+    it is certified by weak duality: it exceeds the bound that the LP's dual
+    weights give through `_column_medians` by at most 1e-9 max(1, value),
+    or `CrossCheckError` is raised.
     """
     v = as_vector(v, "anchor")
     A = as_matrix(A)
@@ -246,21 +254,32 @@ def deflated_norm(v, A, q):
     if not np.any(v):
         raise PreconditionError("anchor must be nonzero")
     q = as_pnorm(q)
+    c_proj = A.T @ v / float(v @ v)
+    value_proj = _deflation_value(v, A, c_proj, q)
     if q == 2:
-        value, c = _deflate_l2(v, A)
-        return DeflationResult(value, c, 2)
+        return DeflationResult(value_proj, c_proj, q)
     if q == 1:
         # max-column-sum objective separates per column into the weighted
         # median problems behind tau_inf
         values, c = _column_medians(v, A)
         value = float(np.max(values, initial=0.0))
-    else:
-        value, c = _deflate_linf(v, A)
-    c_proj = A.T @ v / float(v @ v)
-    if _deflation_value(v, A, c_proj, q) <= value + 1e-12:
-        c = c_proj
-        value = min(value, _deflation_value(v, A, c_proj, q))
-    return DeflationResult(float(value), c, q)
+        if value_proj <= value + 1e-12:
+            c = c_proj
+        # the smaller value is reported even when c_proj wins a near-tie,
+        # which keeps tau_inf = Psi_1 exact
+        return DeflationResult(min(value, value_proj), c, q)
+    c, lam = _deflate_linf(v, A)
+    value = _deflation_value(v, A, c, INF)
+    if value_proj <= value + 1e-12:
+        c, value = c_proj, value_proj
+    # weak duality: sum_j min_mu sum_i lam_i |A_ij - mu v_i| / sum lam is a
+    # lower bound on Psi_inf for every lam >= 0
+    values, _ = _column_medians(lam * v, lam[:, None] * A)
+    bound = float(np.sum(values)) / float(np.sum(lam))
+    if value - bound > DUALITY_GAP_TOL * max(1.0, value):
+        raise CrossCheckError(
+            f"Psi_inf value {value!r} exceeds its duality bound {bound!r}")
+    return DeflationResult(value, c, q)
 
 
 def lmi_l2(A, P, feasibility_slack=1e-9, infeasibility_step=1e-6):

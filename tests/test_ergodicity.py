@@ -4,6 +4,7 @@ import pytest
 from ergo import (INF, CrossCheckError, PreconditionError, StochasticMatrix,
                   deflated_norm, dobrushin, dominant_pair, induced_pnorm,
                   oracle_tau, tau, tau_oblique)
+from ergo.ergodicity import _overlap_form
 
 rng = np.random.default_rng(7)
 
@@ -195,3 +196,22 @@ def test_kernels_match_literal_references_beyond_oracle_cap():
             halfsum, overlap = _pairwise_dobrushin(S.matrix)
             assert dobrushin(S).value == pytest.approx(halfsum, rel=1e-12)
             assert dobrushin(S).value == pytest.approx(overlap, rel=1e-12)
+
+
+def test_overlap_form_matches_pair_loop():
+    # bit for bit against the double loop over row pairs, including
+    # repeated rows, whose overlap rounds to just above 1
+    local = np.random.default_rng(13)
+    for k in range(60):
+        n = int(local.integers(1, 40))
+        M = local.uniform(0.0, 1.0, (n, n)) ** 3 + 1e-3 * np.eye(n)
+        if k % 3 == 0:
+            M[local.random((n, n)) < 0.5] = 0.0
+            M += 1e-3 * np.eye(n)
+        M /= M.sum(axis=1, keepdims=True)
+        if k % 4 == 0 and n > 1:
+            M[1] = M[0]
+        loop = 1.0 - min(float(np.sum(np.minimum(M[i], M[j])))
+                         for i in range(n) for j in range(i + 1, n)) if n > 1 else 0.0
+        assert repr(_overlap_form(M)) == repr(loop)
+        assert repr(_overlap_form(np.asfortranarray(M))) == repr(loop)

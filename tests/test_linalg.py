@@ -151,6 +151,18 @@ def test_incidence_complete():
         assert np.array_equal(C.T @ np.ones(n, dtype=np.int64), np.zeros(n * (n - 1), dtype=np.int64))
     with pytest.raises(PreconditionError):
         incidence_complete(1)
+    for n in range(2, 13):
+        cols = []
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    c = np.zeros(n, dtype=np.int64)
+                    c[i] = 1
+                    c[j] = -1
+                    cols.append(c)
+        C = incidence_complete(n)
+        assert C.dtype == np.int64
+        assert np.array_equal(C, np.column_stack(cols))
 
 
 def test_stochastic_flags():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
-from ergo import (INF, PreconditionError, SeminormWeight, StochasticMatrix,
-                  agreement_projector, deflated_norm, dobrushin, dominant_pair,
+from ergo import (INF, CrossCheckError, PreconditionError, SeminormWeight,
+                  StochasticMatrix, agreement_projector, deflated_norm, dobrushin, dominant_pair,
                   induced_pnorm, induced_seminorm, kernel_invariance_residual,
                   lmi_l2, oracle_weighted_seminorm, tau, vector_seminorm)
 
@@ -205,3 +206,121 @@ def test_lmi_preconditions():
         lmi_l2(np.eye(3), np.eye(3))  # kernel is zero-dimensional
     with pytest.raises(PreconditionError):
         lmi_l2(rng.uniform(-1, 1, (3, 3)), agreement_projector(3))  # kernel not invariant
+
+
+def _primal_lp_psi_inf(v, A):
+    """min t s.t. sum_j |A_ij - v_i c_j| <= t, as a dense LP in (c, s, t) with
+    s_ij >= |A_ij - v_i c_j|, built row by row."""
+    m, n = A.shape
+    nv = n + m * n + 1
+    obj = np.zeros(nv)
+    obj[-1] = 1.0
+    rows, rhs = [], []
+    for i in range(m):
+        for j in range(n):
+            for sign in (-1.0, 1.0):
+                r = np.zeros(nv)
+                r[j] = sign * v[i]
+                r[n + i * n + j] = -1.0
+                rows.append(r)
+                rhs.append(sign * A[i, j])
+    for i in range(m):
+        r = np.zeros(nv)
+        r[n + i * n:n + (i + 1) * n] = 1.0
+        r[-1] = -1.0
+        rows.append(r)
+        rhs.append(0.0)
+    bounds = [(None, None)] * n + [(0, None)] * (m * n + 1)
+    res = scipy.optimize.linprog(obj, A_ub=np.array(rows), b_ub=np.array(rhs),
+                                 bounds=bounds, method="highs-ds")
+    assert res.status == 0
+    return res.fun
+
+
+def _anchor_cases(local, m, n):
+    zeroed = local.standard_normal(m)
+    zeroed[local.random(m) < 0.35] = 0.0
+    zeroed[0] = 1.0
+    mixed = local.choice([-1.0, 1.0], m) * local.uniform(0.2, 2.0, m)
+    small = local.integers(-2, 3, m).astype(float)
+    small[0] = 1.0
+    return ((np.ones(m), local.uniform(0.0, 1.0, (m, n))),
+            (zeroed, local.uniform(-1.0, 1.0, (m, n))),
+            (mixed, local.standard_normal((m, n))),
+            (small, local.integers(-2, 3, (m, n)).astype(float)))
+
+
+def _assert_psi_inf_minimum(v, A, res, local):
+    assert res.value == induced_pnorm(A - np.outer(v, res.c_star), INF)
+    assert tau(v, A, 1).value <= res.value + 1e-10
+    c_proj = A.T @ v / float(v @ v)
+    assert res.value <= induced_pnorm(A - np.outer(v, c_proj), INF)
+    n = A.shape[1]
+    for j in range(n):
+        for step in (-1e-3, 1e-3):
+            c = res.c_star.copy()
+            c[j] += step
+            assert induced_pnorm(A - np.outer(v, c), INF) >= res.value - 1e-12
+    for _ in range(8):
+        c = res.c_star + 1e-2 * local.standard_normal(n)
+        assert induced_pnorm(A - np.outer(v, c), INF) >= res.value - 1e-12
+
+
+def test_psi_inf_matches_literal_primal_lp():
+    local = np.random.default_rng(17)
+    for m in (2, 5, 7, 12):
+        for n in (3, 7, 12):
+            for v, A in _anchor_cases(local, m, n):
+                res = deflated_norm(v, A, INF)
+                expected = _primal_lp_psi_inf(v, A)
+                assert abs(res.value - expected) <= 1e-9 * max(1.0, abs(expected))
+                _assert_psi_inf_minimum(v, A, res, local)
+
+
+def test_psi_inf_beyond_dense_lp_range():
+    local = np.random.default_rng(19)
+    for m in (7, 16, 40):
+        for n in (7, 16, 40):
+            for v, A in _anchor_cases(local, m, n):
+                _assert_psi_inf_minimum(v, A, deflated_norm(v, A, INF), local)
+    M = local.uniform(0.02, 1.0, (80, 80))
+    M /= M.sum(axis=1, keepdims=True)
+    _assert_psi_inf_minimum(np.ones(80), M, deflated_norm(np.ones(80), M, INF), local)
+
+
+def test_psi_inf_dual_weight_on_zero_anchor_rows():
+    # the optimal dual weights sit only on rows with v_i = 0, so the duality
+    # bound runs the median kernel with an all-zero weight vector
+    res = deflated_norm(np.array([1.0, 0.0]), np.array([[0.0, 0.0], [5.0, 5.0]]), INF)
+    assert res.value == 10.0
+    local = np.random.default_rng(23)
+    for _ in range(10):
+        v = np.array([1.0, 0.0, 0.0, 2.0])
+        A = local.uniform(-0.1, 0.1, (4, 5))
+        A[1:3] = local.uniform(3.0, 5.0, (2, 5))
+        res = deflated_norm(v, A, INF)
+        assert res.value == pytest.approx(max(np.sum(np.abs(A[1:3]), axis=1)), rel=1e-12)
+
+
+def test_psi_inf_near_rank_one_value_is_attained():
+    local = np.random.default_rng(29)
+    for _ in range(200):
+        m, n = (int(k) for k in local.integers(2, 25, 2))
+        v = local.standard_normal(m)
+        A = np.outer(v, local.standard_normal(n)) + 1e-9 * local.standard_normal((m, n))
+        res = deflated_norm(v, A, INF)
+        assert res.value == induced_pnorm(A - np.outer(v, res.c_star), INF)
+        assert res.value > 0.0
+
+
+def test_psi_inf_certificate_rejects_a_suboptimal_minimizer(monkeypatch):
+    import ergo.seminorm as seminorm
+    solve = seminorm._deflate_linf
+
+    def perturbed(v, A):
+        c, lam = solve(v, A)
+        return c + 1e-3, lam
+    monkeypatch.setattr(seminorm, "_deflate_linf", perturbed)
+    M = np.random.default_rng(37).uniform(-1.0, 1.0, (6, 5))
+    with pytest.raises(CrossCheckError):
+        deflated_norm(np.ones(6), M, INF)
