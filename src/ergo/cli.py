@@ -145,7 +145,6 @@ def cmd_rho_ess(args):
             "certified_value": ow.certified_value,
             "epsilon": ow.epsilon,
             "regime": ow.regime,
-            "internal_scale": ow.internal_scale,
         }
         residuals["certified_minus_rho_ess"] = ow.certified_value - report.rho_ess
     except PreconditionError as e:

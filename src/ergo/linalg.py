@@ -125,6 +125,20 @@ def oblique_projector(w, tol=1e-8):
     return np.eye(n) - np.outer(np.ones(n), w)
 
 
+def _incidence_rows(n, dtype):
+    """C_n^T in the given dtype: one row e_i - e_j per ordered pair (i, j),
+    i != j, in lexicographic order."""
+    if n < 2:
+        raise PreconditionError("complete graph incidence needs n >= 2")
+    # off-diagonal positions in row-major order are exactly these pairs
+    head, tail = np.nonzero(~np.eye(n, dtype=bool))
+    rows = np.arange(n * (n - 1))
+    R = np.zeros((n * (n - 1), n), dtype=dtype)
+    R[rows, head] = 1
+    R[rows, tail] = -1
+    return R
+
+
 def incidence_complete(n):
     """Oriented incidence matrix C_n of the complete graph on n nodes.
 
@@ -132,16 +146,7 @@ def incidence_complete(n):
     order, +1 at the head i and -1 at the tail j.  Satisfies
     C_n C_n^T = 2n I - 2 * ones exactly in integer arithmetic.
     """
-    if n < 2:
-        raise PreconditionError("complete graph incidence needs n >= 2")
-    # off-diagonal positions in row-major order are the pairs (i, j), i != j,
-    # in lexicographic order
-    head, tail = np.nonzero(~np.eye(n, dtype=bool))
-    cols = np.arange(n * (n - 1))
-    C = np.zeros((n, n * (n - 1)), dtype=np.int64)
-    C[head, cols] = 1
-    C[tail, cols] = -1
-    return C
+    return _incidence_rows(n, np.int64).T
 
 
 def _boolean_primitive(mask, n):
@@ -244,31 +249,62 @@ class EigenDecomposition:
     """Eigenvalues sorted by descending modulus plus a usable real or complex factor.
 
     When the eigenvector matrix is well conditioned (below the 1e8 threshold)
-    `basis` holds it and `diagonalizable` is set; otherwise the real Schur
-    factors are the stable surrogate.
+    `basis` holds it and `diagonalizable` is set.  If LAPACK's vectors fail
+    that test, each repeated real eigenvalue gets an orthonormal basis of its
+    eigenspace (and exactly real values) and the test is repeated.
+    Otherwise the real Schur factors are the stable surrogate, and they are
+    computed only then.
     """
 
     values: np.ndarray
     diagonalizable: bool
     basis: np.ndarray | None
-    schur_t: np.ndarray
-    schur_z: np.ndarray
+    schur_t: np.ndarray | None
+    schur_z: np.ndarray | None
+
+
+def _condition(vectors):
+    try:
+        return float(np.linalg.cond(vectors))
+    except np.linalg.LinAlgError:
+        return math.inf
+
+
+def _by_modulus(values, vectors):
+    order = np.argsort(-np.abs(values), kind="stable")
+    return values[order], vectors[:, order]
+
+
+def _orthonormal_eigenspaces(A, values, vectors, tol=1e-9):
+    """Each repeated real eigenvalue whose eigenspace has full dimension gets
+    an orthonormal basis of it and exactly real values.  LAPACK returns nearly
+    parallel vectors for such an eigenvalue (J/4: condition number 2.7e17)
+    and may split it into conjugate pairs with 1e-33 imaginary parts (J/7)."""
+    values, vectors = values.copy(), vectors.copy()
+    tol *= max(1.0, float(np.abs(values[0])))
+    todo = np.ones(len(values), dtype=bool)
+    for i in range(len(values)):
+        cluster = np.flatnonzero(todo & (np.abs(values - values[i].real) <= tol))
+        todo[cluster] = False
+        if len(cluster) > 1:
+            space = scipy.linalg.null_space(A - np.mean(values[cluster].real) * np.eye(len(A)))
+            if space.shape[1] == len(cluster):
+                values[cluster], vectors[:, cluster] = values[cluster].real, space
+    return _by_modulus(values, vectors)
 
 
 def eigendecompose(A, cond_threshold=DIAGONALIZABLE_COND):
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise PreconditionError("eigendecomposition needs a square matrix")
-    values, vectors = np.linalg.eig(A)
-    order = np.argsort(-np.abs(values), kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    try:
-        cond = float(np.linalg.cond(vectors))
-    except np.linalg.LinAlgError:
-        cond = math.inf
-    diagonalizable = bool(np.isfinite(cond) and cond < cond_threshold)
-    schur_t, schur_z = scipy.linalg.schur(A, output="real")
+    values, vectors = _by_modulus(*np.linalg.eig(A))
+    diagonalizable = _condition(vectors) < cond_threshold
+    if not diagonalizable:
+        values, vectors = _orthonormal_eigenspaces(A, values, vectors)
+        diagonalizable = _condition(vectors) < cond_threshold
+    schur_t = schur_z = None
+    if not diagonalizable:
+        schur_t, schur_z = scipy.linalg.schur(A, output="real")
     return EigenDecomposition(
         values=values,
         diagonalizable=diagonalizable,

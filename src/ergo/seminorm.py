@@ -21,8 +21,8 @@ import scipy.sparse
 
 from .errors import CrossCheckError, PreconditionError
 from .linalg import (INF, as_matrix, as_pnorm, as_vector, agreement_projector,
-                     incidence_complete, induced_pnorm, oblique_projector,
-                     orthogonal_projector)
+                     induced_pnorm, oblique_projector, orthogonal_projector,
+                     _incidence_rows)
 from .ergodicity import _column_medians, tau
 
 FACTOR_COND_LIMIT = 1e12
@@ -62,7 +62,7 @@ class SeminormWeight:
 
     @classmethod
     def incidence(cls, n):
-        return cls("incidence", incidence_complete(n).T.astype(float), np.ones(n))
+        return cls("incidence", _incidence_rows(n, np.float64), np.ones(n))
 
     @classmethod
     def factored(cls, S, v):
@@ -160,7 +160,7 @@ def induced_seminorm(A, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
         if p == 2:
             return _pencil_l2(weight.matrix, A, v)
         u = scipy.linalg.solve(S.T, v)
-        B = S @ orthogonal_projector(v) @ A @ scipy.linalg.inv(S)
+        B = weight.matrix @ A @ scipy.linalg.inv(S)
         return tau(u, B.T, p).value
 
     if weight.kind == "incidence":

@@ -1,28 +1,41 @@
 """Essential spectral radius and near-optimal seminorm weights.
 
-The weight R = D T P_v (D a decaying diagonal, T a triangularizing transform
-of P_v A P_v) squeezes the induced seminorm between rho_ess and rho_ess plus
-a caller-chosen margin.  The lower bound holds for every weight whose kernel
-is the dominant eigendirection; the upper bound comes from the scaled
-triangular similarity image, whose infinity norm is computed structurally so
-tiny diagonal scales do not amplify floating-point noise.
+The weight R = S P_v takes S from one eigendecomposition of A: with v the
+dominant right eigenvector and W the eigenvectors of the other eigenvalues,
+each conjugate pair replaced by (Re w, Im w), S = inv([P_v W, v]) (the real
+Jordan basis, Horn & Johnson, Matrix Analysis; the v direction is the last
+row).  S A S^{-1} is then block
+diagonal on v-perp, with 1x1 blocks lambda and 2x2 rotation blocks, so the
+induced sup-seminorm has the closed form max |Re lambda| + |Im lambda| over
+the non-dominant eigenvalues.  It equals rho_ess on a real spectrum and is
+at most sqrt(2) rho_ess otherwise; rho_ess is the floor for every weight
+whose kernel is the dominant eigendirection.
+
+`optimal_weight` refuses with PreconditionError when the eigenvector basis
+is rejected (condition number >= 1e8, as for defective spectra) and when the
+closed form exceeds rho_ess + epsilon.  A conjugate pair lambda (imaginary
+part above 1e-9) counts at sqrt(2) |lambda|, the most its block
+|lambda| (|cos arg| + |sin arg|) reaches over all arguments, so whether a
+chain is certified depends on its eigenvalue moduli and epsilon, not on the
+arguments; the message names both values.  Its regime is "eigenbasis" when
+every imaginary part is within 1e-9 of 0 (the value is then within 1e-9 of
+rho_ess) and "schur-complex" otherwise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CrossCheckError, PreconditionError
-from .linalg import (INF, StochasticMatrix, as_matrix, eigendecompose,
+from .linalg import (DIAGONALIZABLE_COND, StochasticMatrix, as_matrix, eigendecompose,
                      orthogonal_projector, _boolean_primitive)
 from .ergodicity import tau
 from .seminorm import SeminormWeight
 
 RHO_CROSS_TOL = 1e-8
+REAL_SPECTRUM_TOL = 1e-9
 
 
 @dataclass
@@ -35,12 +48,15 @@ class SpectralReport:
 
 @dataclass
 class OptimalWeight:
-    """A factored weight certifying |||A|||_{inf,R} close to rho_ess.
+    """A factored weight certifying |||A|||_{inf,R} <= rho_ess + epsilon.
 
-    regime is "eigenbasis" when P_v A P_v is safely diagonalizable with real
-    spectrum (certificate within roundoff of rho_ess), "schur-real" for the
-    triangular fallback (certificate within epsilon), and "schur-complex"
-    when complex conjugate pairs force a looser block bound.
+    certified_value is the closed form max |Re lambda| + |Im lambda| over the
+    non-dominant eigenvalues, the exact seminorm of `weight` up to roundoff.
+    regime is "eigenbasis" when the imaginary parts of those eigenvalues are
+    within 1e-9 of 0, so that the certificate is within 1e-9 of rho_ess (and
+    rho_ess itself on an exactly real spectrum), and "schur-complex" when the
+    spectrum has conjugate pairs; each of them then satisfies
+    sqrt(2) |lambda| <= rho_ess + epsilon.
     """
 
     epsilon: float
@@ -48,7 +64,6 @@ class OptimalWeight:
     certified_value: float
     rho_ess: float
     regime: str
-    internal_scale: float
 
 
 def _unwrap(A):
@@ -83,13 +98,8 @@ def _dominant_right(A, decomp):
     return v / np.linalg.norm(v)
 
 
-def ess_spectral_radius(A):
-    """Second-largest eigenvalue modulus (zero when the spectrum is all ones).
-
-    For primitive input the value is cross-checked against the spectral
-    radius of P_v A, v the dominant right eigenvector.
-    """
-    M, primitive = _unwrap(A)
+def _decompose(M, primitive):
+    """The SpectralReport of M together with the EigenDecomposition it came from."""
     decomp = eigendecompose(M)
     moduli = np.abs(decomp.values)
     if np.all(np.abs(decomp.values - 1.0) <= 1e-9):
@@ -108,125 +118,57 @@ def ess_spectral_radius(A):
         eigen_moduli=[float(x) for x in moduli],
         diagonalizable=decomp.diagonalizable,
         dominant_v=v,
-    )
+    ), decomp
 
 
-def _schur_decay_diagonal(T, scale):
-    """Diagonal d with d_i = scale^{-p_i} * balance_i for the quasi-triangular
-    Schur factor T: powers p increase per block so conjugation by diag(d)
-    multiplies entry (i, j) by scale^{p_j - p_i} (suppressing the strict upper
-    part), and 2x2 complex blocks are balanced internally so their row sums
-    come out near |Re| + |Im| instead of inheriting the raw off-diagonals."""
-    n = T.shape[0]
-    powers = np.zeros(n)
-    balance = np.ones(n)
-    p = 0
-    i = 0
-    while i < n:
-        if i < n - 1 and T[i + 1, i] != 0.0:
-            powers[i] = powers[i + 1] = p
-            b, c = abs(T[i, i + 1]), abs(T[i + 1, i])
-            if b > 0 and c > 0:
-                balance[i + 1] = math.sqrt(c / b)
-            i += 2
-        else:
-            powers[i] = p
-            i += 1
-        p += 1
-    return (scale ** -powers) * balance
+def ess_spectral_radius(A):
+    """Second-largest eigenvalue modulus (zero when the spectrum is all ones).
 
-
-def _scaled_schur_norm(T, d):
-    """||diag(d) T diag(d)^{-1}||_inf evaluated only on the structural
-    nonzeros of the quasi-triangular T, so exact zeros below the diagonal
-    never pick up amplified floating-point noise."""
-    n = T.shape[0]
-    worst = 0.0
-    for i in range(n):
-        row = 0.0
-        lo = i - 1 if (i > 0 and T[i, i - 1] != 0.0) else i
-        for j in range(lo, n):
-            if T[i, j] != 0.0:
-                row += abs(T[i, j]) * d[i] / d[j]
-        worst = max(worst, row)
-    return float(worst)
+    For primitive input the value is cross-checked against the spectral
+    radius of P_v A, v the dominant right eigenvector.
+    """
+    return _decompose(*_unwrap(A))[0]
 
 
 def optimal_weight(A, epsilon=1e-3):
-    """Weight R = D T P_v with |||A|||_{inf,R} within epsilon above rho_ess.
+    """Weight R = S P_v with |||A|||_{inf,R} at most rho_ess + epsilon.
 
-    Requires a primitive matrix.  With a safely diagonalizable real spectrum
-    the eigenbasis transform makes the similarity image exactly diagonal and
-    the certificate equals rho_ess up to roundoff; otherwise the real Schur
-    factor is the stable surrogate, with the diagonal decay tuned to the
-    off-diagonal mass.  Complex conjugate pairs are reported with the looser
-    2x2-block bound rather than refused.
+    For a primitive matrix, S = inv([P_v W, v]) is the real Jordan basis of
+    the module docstring and certified_value its closed form
+    max |Re lambda| + |Im lambda| (rho_ess itself on a real spectrum).
+    PreconditionError when the eigenvector basis is rejected (condition
+    number >= 1e8), or when that value or sqrt(2) |lambda| for a conjugate
+    pair lambda exceeds rho_ess + epsilon.
     """
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive")
     M, primitive = _unwrap(A)
     if not primitive:
         raise PreconditionError("optimal weight construction needs a primitive matrix")
-    n = M.shape[0]
-    report = ess_spectral_radius(M)
-    rho = report.rho_ess
-    v = report.dominant_v
-    P = orthogonal_projector(v)
-    core = P @ M @ P
-
-    decomp = eigendecompose(core)
-    real_spectrum = bool(np.max(np.abs(np.imag(decomp.values))) <= 1e-9)
-
-    if decomp.diagonalizable and real_spectrum:
-        V = np.real(decomp.basis)
-        T = np.linalg.inv(V)
-        scale = min(epsilon, 1.0)
-        D = np.diag(scale ** np.arange(n, dtype=float))
-        S = D @ T
-        certified = rho
-        regime = "eigenbasis"
-    else:
-        T_s, Z = decomp.schur_t, decomp.schur_z
-        sub = np.diag(T_s, -1)
-        complex_blocks = bool(np.max(np.abs(sub)) > 0.0) if n > 1 else False
-        strict_upper = np.triu(T_s, 1)
-        off_mass = float(np.max(np.sum(np.abs(strict_upper), axis=1))) if n > 1 else 0.0
-        scale = min(1.0, epsilon / (off_mass + 1e-30)) if off_mass > 0 else min(epsilon, 1.0)
-        D = np.diag(scale ** np.arange(n, dtype=float))
-        S = D @ Z.T
-        if complex_blocks:
-            # keep conjugate pairs in shared scale blocks: repeat the power
-            powers = np.arange(n, dtype=float)
-            i = 0
-            while i < n - 1:
-                if abs(T_s[i + 1, i]) > 0.0:
-                    powers[i + 1] = powers[i]
-                    i += 2
-                else:
-                    i += 1
-            D = np.diag(scale ** powers)
-            S = D @ Z.T
-            certified = _structural_bound(np.triu(T_s, -1) * (np.abs(T_s) > 0), scale)
-            # block rows keep their sub-diagonal entry; recompute faithfully
-            scaled = D @ T_s @ np.linalg.inv(D)
-            certified = float(np.max(np.sum(np.abs(scaled), axis=1)))
-            regime = "schur-complex"
-        else:
-            certified = _structural_bound(np.triu(T_s), scale)
-            regime = "schur-real"
-
-    weight = SeminormWeight.factored(S, v)
-    if certified < rho - RHO_CROSS_TOL:
-        raise CrossCheckError(
-            f"certified value {certified} fell below rho_ess {rho}")
-    return OptimalWeight(
-        epsilon=float(epsilon),
-        weight=weight,
-        certified_value=float(certified),
-        rho_ess=rho,
-        regime=regime,
-        internal_scale=float(scale),
-    )
+    report, decomp = _decompose(M, primitive)
+    if not decomp.diagonalizable:
+        raise PreconditionError(
+            f"eigenvector basis condition number is at least {DIAGONALIZABLE_COND:g}; "
+            "no diagonalizing weight")
+    rho, v = report.rho_ess, report.dominant_v
+    lam, W = decomp.values[1:], decomp.basis[:, 1:]
+    certified = float(np.max(np.abs(lam.real) + np.abs(lam.imag), initial=0.0))
+    pairs = lam[np.abs(lam.imag) > REAL_SPECTRUM_TOL]
+    # a pair's block value |lambda| (|cos arg| + |sin arg|) is returned only
+    # when it would fit at every argument, that is when sqrt(2) |lambda| does
+    reach = max(certified, float(np.sqrt(2.0) * np.max(np.abs(pairs), initial=0.0)))
+    if reach > rho + epsilon:
+        raise PreconditionError(
+            f"the eigenbasis weight reaches {certified!r}, and up to {reach!r} over the "
+            f"arguments of its conjugate pairs; rho_ess + epsilon = {rho + epsilon!r}")
+    # LAPACK returns real eigenvalues with an imaginary part of exactly 0 and
+    # complex ones in exact conjugate pairs; each pair contributes (Re w, Im w)
+    real, upper = lam.imag == 0.0, lam.imag > 0.0
+    cols = np.column_stack([W[:, real].real, W[:, upper].real, W[:, upper].imag])
+    S = np.linalg.inv(np.column_stack([orthogonal_projector(v) @ cols, v]))
+    return OptimalWeight(epsilon=float(epsilon), weight=SeminormWeight.factored(S, v),
+                         certified_value=certified, rho_ess=rho,
+                         regime="schur-complex" if pairs.size else "eigenbasis")
 
 
 def symmetric_l2_identity(A):

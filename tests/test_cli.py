@@ -124,6 +124,17 @@ def test_rho_ess_non_primitive_still_reports(tmp_path, capsys):
     assert report["result"]["certificate"] is None
 
 
+def test_rho_ess_rotating_chain_skips_certificate(tmp_path, capsys):
+    # the conjugate pair -0.35 +- 0.35 sqrt(3) i puts the eigenbasis weight
+    # at 0.35 (1 + sqrt(3)) = 0.956..., above rho_ess + eps = 0.701
+    p = tmp_path / "rot3.csv"
+    p.write_text("0.1,0.8,0.1\n0.1,0.1,0.8\n0.8,0.1,0.1\n")
+    code, report = run_cli(capsys, "rho-ess", str(p))
+    assert code == 0
+    assert report["result"]["certificate"] is None
+    assert "0.95621778" in report["result"]["certificate_skipped"]
+
+
 def test_certify_directory(tmp_path, capsys):
     d = tmp_path / "seq"
     d.mkdir()

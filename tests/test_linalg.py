@@ -4,7 +4,7 @@ import pytest
 from ergo import (INF, PreconditionError, StochasticMatrix, as_distribution,
                   as_pnorm, conjugate_pnorm, dominant_pair, eigendecompose,
                   incidence_complete, induced_pnorm, oblique_projector,
-                  orthogonal_projector, agreement_projector)
+                  orthogonal_projector, agreement_projector, SeminormWeight)
 
 rng = np.random.default_rng(2024)
 
@@ -163,6 +163,9 @@ def test_incidence_complete():
         C = incidence_complete(n)
         assert C.dtype == np.int64
         assert np.array_equal(C, np.column_stack(cols))
+        R = SeminormWeight.incidence(n).matrix
+        assert R.dtype == np.float64
+        assert np.array_equal(R, C.T)
 
 
 def test_stochastic_flags():
@@ -217,3 +220,12 @@ def test_distribution_validation():
         as_distribution([0.5, 0.6])
     with pytest.raises(PreconditionError):
         as_distribution([-0.2, 1.2])
+
+
+def test_eigendecompose_repeated_semisimple_eigenvalue():
+    for n in (4, 7):
+        d = eigendecompose(np.full((n, n), 1.0 / n))
+        assert d.diagonalizable and d.schur_t is None
+        assert np.linalg.cond(d.basis) < 1e3
+        assert np.all(d.values.imag == 0.0)
+        assert np.allclose(np.abs(d.values), [1.0] + [0.0] * (n - 1), atol=1e-15)

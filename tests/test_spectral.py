@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ergo import (INF, PreconditionError, SeminormWeight, StochasticMatrix,
                   ess_spectral_radius, induced_seminorm, optimal_weight,
@@ -128,3 +129,68 @@ def test_tau2_subunit():
     assert res["subunit"] and abs(res["tau2"] - 0.25) < 1e-12
     with pytest.raises(PreconditionError):
         tau2_subunit_check(StochasticMatrix([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_optimal_weight_reversible_is_exact_at_any_epsilon():
+    # no diagonal scaling: the weight stays well conditioned at every n and
+    # epsilon, and its certificate is rho_ess itself
+    local = np.random.default_rng(701)
+    for n in (8, 20, 50):
+        B = local.uniform(0.1, 1.0, (n, n))
+        A = (B + B.T) / (B + B.T).sum(axis=1, keepdims=True)
+        rho = ess_spectral_radius(A).rho_ess
+        for eps in (1e-1, 1e-3):
+            ow = optimal_weight(A, eps)
+            assert ow.regime == "eigenbasis"
+            assert ow.certified_value == rho
+            exact = induced_seminorm(A, ow.weight, INF)
+            assert abs(exact - ow.certified_value) <= 1e-12 * max(1.0, exact)
+
+
+def test_optimal_weight_complex_pairs_closed_form():
+    local = np.random.default_rng(702)
+    for n in (5, 12, 50):
+        B = local.uniform(0.0, 1.0, (n, n))
+        A = B / B.sum(axis=1, keepdims=True)
+        rho = ess_spectral_radius(A).rho_ess
+        ow = optimal_weight(A, 1.0)
+        exact = induced_seminorm(A, ow.weight, INF)
+        assert abs(exact - ow.certified_value) <= 1e-12 * max(1.0, exact)
+        assert rho <= ow.certified_value <= np.sqrt(2.0) * rho
+
+
+def test_optimal_weight_refuses_above_epsilon():
+    A = np.array([[0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [0.8, 0.1, 0.1]])
+    # |Re| + |Im| of -0.35 +- 0.35 sqrt(3) i
+    with pytest.raises(PreconditionError, match="0.95621778"):
+        optimal_weight(A, 1e-3)
+    # 0.7 C_4 + 0.3 J/4 has the pair +-0.7i at rho_ess = 0.7: its block value
+    # 0.7 fits, but a pair is accepted only when sqrt(2) 0.7 = 0.9899... does
+    A = 0.7 * np.roll(np.eye(4), 1, axis=1) + np.full((4, 4), 0.075)
+    with pytest.raises(PreconditionError, match="0.98994949"):
+        optimal_weight(A, 0.1)
+    ow = optimal_weight(A, 0.3)
+    assert ow.regime == "schur-complex"
+    assert abs(ow.certified_value - 0.7) <= 1e-12
+    assert abs(induced_seminorm(A, ow.weight, INF) - ow.certified_value) <= 1e-12
+
+
+def test_optimal_weight_refuses_defective_spectrum():
+    # a 3x3 Jordan block at 0.5 on 1-perp: no well-conditioned eigenbasis
+    n = 4
+    b1, b2, b3 = scipy.linalg.null_space(np.ones((1, n))).T
+    A = 0.5 * np.eye(n) + np.full((n, n), 1.0 / 8.0) + 0.05 * (np.outer(b1, b2) + np.outer(b2, b3))
+    assert StochasticMatrix(A).primitive
+    with pytest.raises(PreconditionError):
+        optimal_weight(A, 1e-3)
+
+
+def test_optimal_weight_rank_one_chains():
+    # the zero eigenvalue of J/n is repeated; LAPACK's basis for it is nearly
+    # singular at n = 4 and splits it into a 1e-33 conjugate pair at n = 7
+    for n in (4, 7):
+        A = np.full((n, n), 1.0 / n)
+        ow = optimal_weight(A, 1e-3)
+        assert ow.regime == "eigenbasis"
+        assert ow.certified_value == ess_spectral_radius(A).rho_ess
+        assert induced_seminorm(A, ow.weight, INF) <= 1e-12
