@@ -15,11 +15,11 @@ import numpy as np
 
 from . import __version__
 from .errors import ErgoError, InputFormatError, PreconditionError
-from .linalg import INF, StochasticMatrix, dominant_pair
+from .linalg import dominant_pair
 from .matrix_io import load_matrix, load_sequence, load_vector
-from .ergodicity import _overlap_form, dobrushin, tau
+from .ergodicity import dobrushin, tau
 from .seminorm import SeminormWeight, induced_seminorm, kernel_invariance_residual
-from .spectral import ess_spectral_radius, optimal_weight
+from .spectral import _decompose, _optimal_weight, _unwrap
 from .markov import mixing_time
 from .contraction import certify_averaging, simulate_and_check
 from .report import render_report
@@ -34,22 +34,11 @@ def _env_seed():
         raise InputFormatError(f"ERGO_SEED must be an integer, got {raw!r}")
 
 
-def _try_stochastic(M):
-    try:
-        return StochasticMatrix(M)
-    except PreconditionError:
-        return None
-
-
 def _resolve_anchor(spec, M):
     if spec == "ones":
         return np.ones(M.shape[0]), "ones"
     if spec == "stationary":
-        S = _try_stochastic(M)
-        if S is None:
-            raise PreconditionError("stationary anchor needs a row-stochastic matrix")
-        _, pi = dominant_pair(S)
-        return pi, "stationary"
+        return dominant_pair(M)[1], "stationary"
     if spec.startswith("file:"):
         return load_vector(spec[5:]), spec
     raise InputFormatError(f"unknown anchor {spec!r}; use ones, stationary or file:<path>")
@@ -66,12 +55,13 @@ def cmd_tau(args):
         "anchor": result.anchor,
     }
     residuals = {}
-    S = _try_stochastic(M)
-    if S is not None and anchor_tag == "ones" and result.p == 1:
-        dob = dobrushin(S)
-        minsum = _overlap_form(S.matrix)
-        payload["dobrushin"] = {"halfsum": dob.value, "minsum": minsum}
-        residuals["dobrushin_cross_formula"] = abs(dob.value - minsum)
+    if anchor_tag == "ones" and result.p == 1:
+        try:
+            dob = dobrushin(M)
+        except PreconditionError:
+            return payload, residuals  # not a chain: no Dobrushin block
+        payload["dobrushin"] = {"halfsum": dob.value, "minsum": dob.overlap}
+        residuals["dobrushin_cross_formula"] = abs(dob.value - dob.overlap)
         residuals["dobrushin_vs_tau"] = abs(dob.value - result.value)
     return payload, residuals
 
@@ -86,11 +76,7 @@ def _resolve_weight(spec, M, anchor_spec):
     if spec == "incidence":
         return SeminormWeight.incidence(n)
     if spec == "qw":
-        S = _try_stochastic(M)
-        if S is None:
-            raise PreconditionError("the oblique weight needs a row-stochastic matrix")
-        _, w = dominant_pair(S)
-        return SeminormWeight.oblique(w)
+        return SeminormWeight.oblique(dominant_pair(M)[1])
     if spec.startswith("pv:"):
         return SeminormWeight.orthogonal(load_vector(spec[3:]))
     if spec.startswith("factored:"):
@@ -116,11 +102,7 @@ def cmd_seminorm(args):
 
 
 def cmd_mixing(args):
-    M = load_matrix(args.matrix)
-    S = _try_stochastic(M)
-    if S is None:
-        raise PreconditionError("mixing time needs a row-stochastic matrix")
-    report = mixing_time(S, args.eps)
+    report = mixing_time(load_matrix(args.matrix), args.eps)
     payload = {
         "t_mix": report.t_mix,
         "epsilon": report.epsilon,
@@ -131,8 +113,8 @@ def cmd_mixing(args):
 
 
 def cmd_rho_ess(args):
-    M = load_matrix(args.matrix)
-    report = ess_spectral_radius(M)
+    M, primitive = _unwrap(load_matrix(args.matrix))
+    report, decomp = _decompose(M, primitive)
     payload = {
         "rho_ess": report.rho_ess,
         "eigen_moduli": report.eigen_moduli,
@@ -140,7 +122,7 @@ def cmd_rho_ess(args):
     }
     residuals = {}
     try:
-        ow = optimal_weight(M, args.eps)
+        ow = _optimal_weight(M, primitive, args.eps, (report, decomp))
         payload["certificate"] = {
             "certified_value": ow.certified_value,
             "epsilon": ow.epsilon,

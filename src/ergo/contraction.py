@@ -37,7 +37,7 @@ def as_sequence(matrices):
     """Validate a nonempty uniform-dimension list of stochastic matrices."""
     if not matrices:
         raise PreconditionError("matrix sequence is empty")
-    seq = [m if isinstance(m, StochasticMatrix) else StochasticMatrix(m) for m in matrices]
+    seq = [StochasticMatrix.of(m) for m in matrices]
     n = seq[0].n
     if any(m.n != n for m in seq):
         raise PreconditionError("sequence mixes matrix dimensions")
@@ -94,10 +94,7 @@ def certify_markov(A, p):
 
     The rate is the exact seminorm of A^T on the subspace orthogonal to w,
     computed as tau_p(w, A P_w)."""
-    if not isinstance(A, StochasticMatrix):
-        A = StochasticMatrix(A)
-    if not A.primitive:
-        raise PreconditionError("markov certificate needs a primitive matrix")
+    A = StochasticMatrix.of(A, "markov certificate")
     _, w = dominant_pair(A)
     weight = SeminormWeight.orthogonal(w)
     P = orthogonal_projector(w)
@@ -114,8 +111,7 @@ def certify_markov(A, p):
 
 def simulate_markov_and_check(A, pi0, p):
     """Iterate the distribution dynamics and verify the Markov certificate bound."""
-    if not isinstance(A, StochasticMatrix):
-        A = StochasticMatrix(A)
+    A = StochasticMatrix.of(A)
     cert = certify_markov(A, p)
     pi = as_vector(pi0, "initial distribution")
     if len(pi) != A.n:

@@ -36,12 +36,17 @@ DOBRUSHIN_CROSS_TOL = 1e-12
 
 @dataclass
 class ErgodicityResult:
-    """A coefficient value plus the route that produced it and the anchor used."""
+    """A coefficient value plus the route that produced it and the anchor used.
+
+    `overlap` is the Dobrushin overlap form on the dobrushin route, None on
+    every other route.
+    """
 
     value: float
     p: object
     route: str
     anchor: np.ndarray
+    overlap: float | None = None
 
 
 def _tau_l1(v, A):
@@ -94,17 +99,24 @@ def _tau_l2(v, A):
     return float(np.linalg.norm(P @ A, 2))
 
 
-def tau(v, A, p):
-    """Exact ergodicity coefficient tau_p(v, A) for p in {1, 2, inf}.
-
-    A may be rectangular (m x n) with v of length m.
-    """
+def _anchored(v, A):
+    """The validated anchor and matrix of tau_p(v, A) and Psi_q(v, A): finite,
+    v nonzero with one entry per row of A."""
     v = as_vector(v, "anchor")
     A = as_matrix(A)
     if A.shape[0] != len(v):
         raise PreconditionError(f"anchor length {len(v)} does not match {A.shape[0]} rows")
     if not np.any(v):
         raise PreconditionError("anchor must be nonzero")
+    return v, A
+
+
+def tau(v, A, p):
+    """Exact ergodicity coefficient tau_p(v, A) for p in {1, 2, inf}.
+
+    A may be rectangular (m x n) with v of length m.
+    """
+    v, A = _anchored(v, A)
     p = as_pnorm(p)
     if p == 1:
         return ErgodicityResult(_tau_l1(v, A), 1, "pairwise-form", v)
@@ -130,10 +142,10 @@ def dobrushin(A):
     The half maximum pairwise l1 row distance is tau_1 with the all-ones
     anchor; the complementary overlap form 1 - min_{i<j} sum_k min(A_ik, A_jk)
     is computed independently, and disagreement beyond 1e-12 signals
-    corrupted input rather than a value to average.
+    corrupted input rather than a value to average.  The overlap form is
+    returned as `overlap`.
     """
-    if not isinstance(A, StochasticMatrix):
-        A = StochasticMatrix(A)
+    A = StochasticMatrix.of(A)
     M = np.ascontiguousarray(A.matrix)
     n = A.n
     value_half = _tau_l1(np.ones(n), M)
@@ -141,7 +153,7 @@ def dobrushin(A):
     if abs(value_half - value_min) > DOBRUSHIN_CROSS_TOL:
         raise CrossCheckError(
             f"dobrushin formulas disagree: {value_half!r} vs {value_min!r}")
-    return ErgodicityResult(value_half, 1, "dobrushin-halfsum", np.ones(n))
+    return ErgodicityResult(value_half, 1, "dobrushin-halfsum", np.ones(n), value_min)
 
 
 def tau_oblique(A, p):
@@ -150,10 +162,7 @@ def tau_oblique(A, p):
     This is the coefficient governing the distribution dynamics
     pi(k+1) = A^T pi(k); computed exactly by the tau engine on (w, A^T).
     """
-    if not isinstance(A, StochasticMatrix):
-        A = StochasticMatrix(A)
-    if not A.primitive:
-        raise PreconditionError("oblique coefficient needs a primitive matrix")
+    A = StochasticMatrix.of(A, "oblique coefficient")
     _, w = dominant_pair(A)
     result = tau(w, A.matrix.T, p)
     return ErgodicityResult(result.value, result.p, "oblique-form", w)

@@ -176,10 +176,24 @@ class StochasticMatrix:
 
     Entries below -row_tolerance or rows off unit sum beyond row_tolerance
     fail construction; smaller deviations are clamped/renormalized so that
-    downstream certificates never see silently corrected garbage.
+    downstream certificates never see silently corrected garbage.  This is
+    the one place a chain is accepted: every public entry point taking a
+    chain goes through `StochasticMatrix.of`.
     """
 
     row_tolerance = ROW_TOLERANCE
+
+    @classmethod
+    def of(cls, A, primitive_for=None):
+        """A itself when already validated, a new StochasticMatrix otherwise.
+
+        With `primitive_for` naming the operation, a non-primitive chain
+        raises PreconditionError("<primitive_for> needs a primitive matrix").
+        """
+        S = A if isinstance(A, cls) else cls(A)
+        if primitive_for is not None and not S.primitive:
+            raise PreconditionError(f"{primitive_for} needs a primitive matrix")
+        return S
 
     def __init__(self, matrix):
         m = as_matrix(matrix, "stochastic matrix")
@@ -211,10 +225,7 @@ def dominant_pair(A):
     fallback for slowly mixing chains) and certified by the residual
     ||A^T pi - pi||_1 <= 1e-12.
     """
-    if not isinstance(A, StochasticMatrix):
-        A = StochasticMatrix(A)
-    if not A.primitive:
-        raise PreconditionError("stationary distribution is unique only for primitive matrices")
+    A = StochasticMatrix.of(A, "a unique stationary distribution")
     M = A.matrix.T
     n = A.n
     pi = np.full(n, 1.0 / n)

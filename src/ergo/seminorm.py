@@ -23,7 +23,7 @@ from .errors import CrossCheckError, PreconditionError
 from .linalg import (INF, as_matrix, as_pnorm, as_vector, agreement_projector,
                      induced_pnorm, oblique_projector, orthogonal_projector,
                      _incidence_rows)
-from .ergodicity import _column_medians, tau
+from .ergodicity import _anchored, _column_medians, dobrushin, tau
 
 FACTOR_COND_LIMIT = 1e12
 KERNEL_INVARIANCE_TOL = 1e-8
@@ -118,10 +118,6 @@ def _pencil_l2(R, A, kernel):
     return float(np.sqrt(max(vals[-1], 0.0)))
 
 
-def _is_row_stochastic(A, tol=1e-10):
-    return bool(np.min(A) >= -tol and np.max(np.abs(A.sum(axis=1) - 1.0)) <= tol)
-
-
 def induced_seminorm(A, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
     """Exact R-weighted induced matrix seminorm |||A|||_{p,R}.
 
@@ -169,9 +165,11 @@ def induced_seminorm(A, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
             one = np.ones(n)
             P = agreement_projector(n)
             return tau(one, (P @ A).T, 2).value
-        if p == INF and _is_row_stochastic(A):
-            from .ergodicity import dobrushin
-            return dobrushin(A).value
+        if p == INF:
+            try:
+                return dobrushin(A).value
+            except PreconditionError:
+                pass  # not a chain: no closed form, try the brute-force evaluator
         if n <= ORACLE_DIMENSION_CAP:
             from .oracle import oracle_weighted_seminorm
             return oracle_weighted_seminorm(A, weight, p).value
@@ -247,12 +245,7 @@ def deflated_norm(v, A, q):
     weights give through `_column_medians` by at most 1e-9 max(1, value),
     or `CrossCheckError` is raised.
     """
-    v = as_vector(v, "anchor")
-    A = as_matrix(A)
-    if A.shape[0] != len(v):
-        raise PreconditionError(f"anchor length {len(v)} does not match {A.shape[0]} rows")
-    if not np.any(v):
-        raise PreconditionError("anchor must be nonzero")
+    v, A = _anchored(v, A)
     q = as_pnorm(q)
     c_proj = A.T @ v / float(v @ v)
     value_proj = _deflation_value(v, A, c_proj, q)

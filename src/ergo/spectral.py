@@ -140,12 +140,17 @@ def optimal_weight(A, epsilon=1e-3):
     number >= 1e8), or when that value or sqrt(2) |lambda| for a conjugate
     pair lambda exceeds rho_ess + epsilon.
     """
+    return _optimal_weight(*_unwrap(A), epsilon)
+
+
+def _optimal_weight(M, primitive, epsilon, decomposed=None):
+    """`optimal_weight` of an unwrapped matrix; `decomposed` is the
+    `_decompose(M, primitive)` pair when the caller already holds it."""
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive")
-    M, primitive = _unwrap(A)
     if not primitive:
         raise PreconditionError("optimal weight construction needs a primitive matrix")
-    report, decomp = _decompose(M, primitive)
+    report, decomp = decomposed or _decompose(M, primitive)
     if not decomp.diagonalizable:
         raise PreconditionError(
             f"eigenvector basis condition number is at least {DIAGONALIZABLE_COND:g}; "
@@ -182,7 +187,7 @@ def symmetric_l2_identity(A):
         raise PreconditionError("matrix must be symmetric within 1e-12")
     if not primitive:
         raise PreconditionError("identity holds for primitive matrices")
-    report = ess_spectral_radius(M)
+    report, _ = _decompose(M, primitive)
     v = report.dominant_v
     P = orthogonal_projector(v)
     value = tau(v, (P @ M).T, 2).value
@@ -199,10 +204,7 @@ def tau2_subunit_check(A):
     the flags are verified and the computed coefficient is returned together
     with the subunit verdict.
     """
-    if not isinstance(A, StochasticMatrix):
-        A = StochasticMatrix(A)
-    if not A.primitive:
-        raise PreconditionError("matrix must be primitive")
+    A = StochasticMatrix.of(A, "the tau_2 subunit check")
     if not A.doubly_stochastic:
         raise PreconditionError("matrix must be doubly stochastic")
     if not A.positive_diagonal:

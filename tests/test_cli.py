@@ -235,3 +235,73 @@ def test_float_round_trip_exact(a22, capsys):
     parsed = json.loads(raw)["result"]["value"]
     expected = ergo.tau(np.ones(2), np.array([[0.5, 0.5], [0.25, 0.75]]), 2).value
     assert parsed == expected  # 17 significant digits round-trip doubles exactly
+
+
+NEAR_TOLERANCE = np.array([[0.5, 0.5 + 1.4e-10, -0.5e-10], [0.2, 0.3, 0.5], [0.1, 0.6, 0.3]])
+
+
+def test_seminorm_incidence_near_row_tolerance_exits_0(tmp_path, capsys):
+    from ergo import INF, SeminormWeight, oracle_weighted_seminorm
+    p = tmp_path / "near.csv"
+    p.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in NEAR_TOLERANCE))
+    code, report = run_cli(capsys, "seminorm", str(p), "--weight", "incidence", "--p", "inf")
+    assert code == 0
+    expected = oracle_weighted_seminorm(NEAR_TOLERANCE, SeminormWeight.incidence(3), INF)
+    assert report["result"]["value"] == expected.value
+
+
+def _count_calls(monkeypatch, fn):
+    """Route every ergo module's reference to fn through a call counter."""
+    import sys
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ergo" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def _count_stochastic_builds(monkeypatch):
+    from ergo import StochasticMatrix
+    calls = []
+    real = StochasticMatrix.__init__
+
+    def counted(self, matrix):
+        calls.append(1)
+        real(self, matrix)
+    monkeypatch.setattr(StochasticMatrix, "__init__", counted)
+    return calls
+
+
+def test_each_chain_is_accepted_once(a22, capsys, monkeypatch):
+    for argv in (["tau", str(a22), "--p", "1", "--anchor", "stationary"],
+                 ["seminorm", str(a22), "--weight", "qw"]):
+        with monkeypatch.context() as m:
+            builds = _count_stochastic_builds(m)
+            code, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(builds) == 1, argv
+
+
+def test_tau_runs_the_overlap_form_once(a22, capsys, monkeypatch):
+    from ergo.ergodicity import _overlap_form
+    calls = _count_calls(monkeypatch, _overlap_form)
+    code, report = run_cli(capsys, "tau", str(a22), "--p", "1")
+    assert code == 0
+    assert report["result"]["dobrushin"]["minsum"] == 0.25
+    assert len(calls) == 1
+
+
+def test_rho_ess_decomposes_once(tmp_path, capsys, monkeypatch):
+    from ergo.linalg import _boolean_primitive, eigendecompose
+    decompositions = _count_calls(monkeypatch, eigendecompose)
+    primitivity_tests = _count_calls(monkeypatch, _boolean_primitive)
+    p = tmp_path / "sym.csv"
+    p.write_text("0.9,0.1\n0.1,0.9\n")
+    code, report = run_cli(capsys, "rho-ess", str(p))
+    assert code == 0 and report["result"]["certificate"] is not None
+    assert len(decompositions) == 1
+    assert len(primitivity_tests) == 1

@@ -229,3 +229,17 @@ def test_eigendecompose_repeated_semisimple_eigenvalue():
         assert np.linalg.cond(d.basis) < 1e3
         assert np.all(d.values.imag == 0.0)
         assert np.allclose(np.abs(d.values), [1.0] + [0.0] * (n - 1), atol=1e-15)
+
+
+def test_stochastic_matrix_of_is_the_one_gate():
+    S = StochasticMatrix([[0.75, 0.25], [0.25, 0.75]])
+    assert StochasticMatrix.of(S) is S
+    assert StochasticMatrix.of(S, "mixing time") is S
+    built = StochasticMatrix.of([[0.5, 0.5], [0.25, 0.75]])
+    assert isinstance(built, StochasticMatrix) and built.primitive
+    # without primitive_for a non-primitive chain is accepted
+    assert not StochasticMatrix.of(np.eye(2)).primitive
+    with pytest.raises(PreconditionError, match="^mixing time needs a primitive matrix$"):
+        StochasticMatrix.of(np.eye(2), primitive_for="mixing time")
+    with pytest.raises(PreconditionError, match="row sums deviate"):
+        StochasticMatrix.of([[0.5, 0.4], [0.25, 0.75]], "mixing time")

@@ -324,3 +324,23 @@ def test_psi_inf_certificate_rejects_a_suboptimal_minimizer(monkeypatch):
     M = np.random.default_rng(37).uniform(-1.0, 1.0, (6, 5))
     with pytest.raises(CrossCheckError):
         deflated_norm(np.ones(6), M, INF)
+
+
+def test_incidence_inf_near_row_tolerance_is_not_a_chain():
+    # raw row sums are within 1e-10 of 1, but once the -5e-11 entry is
+    # clipped row 0 sums to 1 + 1.4e-10: StochasticMatrix refuses it, so
+    # there is no Dobrushin closed form and the n = 3 oracle answers
+    A = np.array([[0.5, 0.5 + 1.4e-10, -0.5e-10], [0.2, 0.3, 0.5], [0.1, 0.6, 0.3]])
+    with pytest.raises(PreconditionError, match="row sums deviate"):
+        StochasticMatrix(A)
+    W = SeminormWeight.incidence(3)
+    assert induced_seminorm(A, W, INF) == oracle_weighted_seminorm(A, W, INF).value
+
+
+def test_dobrushin_reports_its_overlap_form():
+    from ergo.ergodicity import _overlap_form
+    S = StochasticMatrix([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
+    res = dobrushin(S)
+    assert repr(res.overlap) == repr(_overlap_form(S.matrix))
+    assert abs(res.overlap - res.value) <= 1e-12
+    assert tau(np.ones(3), S.matrix, 1).overlap is None

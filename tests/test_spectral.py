@@ -194,3 +194,17 @@ def test_optimal_weight_rank_one_chains():
         assert ow.regime == "eigenbasis"
         assert ow.certified_value == ess_spectral_radius(A).rho_ess
         assert induced_seminorm(A, ow.weight, INF) <= 1e-12
+
+
+def test_symmetric_l2_identity_unwraps_and_decomposes_once(monkeypatch):
+    import ergo.spectral as spectral
+    A = np.array([[0.6, 0.3, 0.1], [0.3, 0.4, 0.3], [0.1, 0.3, 0.6]])
+    rho = ess_spectral_radius(A).rho_ess
+    calls = []
+    for name in ("_unwrap", "eigendecompose"):
+        def counted(*args, _real=getattr(spectral, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(spectral, name, counted)
+    assert abs(symmetric_l2_identity(A) - rho) < 1e-12
+    assert sorted(calls) == ["_unwrap", "eigendecompose"]
