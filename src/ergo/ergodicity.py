@@ -5,7 +5,10 @@ Exact closed forms for p in {1, 2, inf}:
   p = 1    the feasible polytope (cross-polytope cut by the hyperplane) has
            vertices supported on two coordinates, giving
            tau_1 = max_{i<j} ||v_j A_i - v_i A_j||_1 / (|v_i| + |v_j|)
-           over rows A_i of A.
+           over rows A_i of A.  The pairs are taken in blocks of rows, each
+           block against every later row in one broadcast of at most
+           BLOCK_ENTRIES entries; the Dobrushin overlap form walks the same
+           blocks.
   p = inf  column-wise LP: tau_inf = max_k min_mu ||A_{.k} - mu v||_1.  Each
            column's objective is convex and piecewise linear in mu with kinks
            at A_ik / v_i, so its minimum sits at a weighted median of the
@@ -32,6 +35,8 @@ from .linalg import (INF, StochasticMatrix, as_matrix, as_pnorm, as_vector,
                      dominant_pair, orthogonal_projector)
 
 DOBRUSHIN_CROSS_TOL = 1e-12
+#: entries in one broadcast temporary of a batched kernel (64 KiB of float64)
+BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass
@@ -49,6 +54,22 @@ class ErgodicityResult:
     overlap: float | None = None
 
 
+def _pair_blocks(m, n):
+    """Row blocks of the pair loop over i < j < m, for an m x n matrix.
+
+    Yields (i0, i1, later): rows [i0, i1) meet every later row [i0 + 1, m)
+    in one broadcast (i1 - i0, m - i0 - 1, n) operation of at most
+    BLOCK_ENTRIES entries, or of one row where a single row exceeds that,
+    and later[r, c] marks the pairs i = i0 + r < j = i0 + 1 + c.
+    """
+    i0 = 0
+    while i0 < m - 1:
+        rest = m - i0 - 1
+        i1 = min(m - 1, i0 + max(1, BLOCK_ENTRIES // max(1, rest * n)))
+        yield i0, i1, np.arange(rest) >= np.arange(i1 - i0)[:, None]
+        i0 = i1
+
+
 def _tau_l1(v, A):
     # row-major storage makes every row sum, down to the last bit,
     # independent of how the caller laid A out
@@ -56,14 +77,17 @@ def _tau_l1(v, A):
     absv = np.abs(v)
     rownorm1 = np.sum(np.abs(A), axis=1)
     best = 0.0
-    for i in range(len(v) - 1):
-        den = absv[i] + absv[i + 1:]
-        dist = np.sum(np.abs(v[i + 1:, None] * A[i] - v[i] * A[i + 1:]), axis=1)
+    for i0, i1, later in _pair_blocks(*A.shape):
+        rows, after = slice(i0, i1), slice(i0 + 1, None)
+        den = absv[rows, None] + absv[after]
+        diff = v[after, None] * A[rows, None, :]
+        diff -= v[rows, None, None] * A[after]
+        dist = np.sum(np.abs(diff, out=diff), axis=2)
         # den == 0: both coordinates unconstrained, the slice contains +-e_i, +-e_j
-        vals = np.divide(dist, den, out=np.maximum(rownorm1[i], rownorm1[i + 1:]),
+        vals = np.divide(dist, den, out=np.maximum(rownorm1[rows, None], rownorm1[after]),
                          where=den != 0.0)
-        best = max(best, float(np.max(vals)))
-    return float(best)
+        best = max(best, float(np.max(vals, where=later, initial=0.0)))
+    return best
 
 
 def _column_medians(v, A):
@@ -132,8 +156,11 @@ def _overlap_form(M):
     M = np.ascontiguousarray(M)
     if M.shape[0] < 2:
         return 0.0
-    return 1.0 - min(float(np.min(np.sum(np.minimum(M[i], M[i + 1:]), axis=1)))
-                     for i in range(M.shape[0] - 1))
+    least = np.inf
+    for i0, i1, later in _pair_blocks(*M.shape):
+        shared = np.sum(np.minimum(M[i0:i1, None, :], M[i0 + 1:]), axis=2)
+        least = min(least, float(np.min(shared, where=later, initial=np.inf)))
+    return 1.0 - least
 
 
 def dobrushin(A):

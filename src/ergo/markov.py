@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import INF, StochasticMatrix, as_distribution, dominant_pair
-from .ergodicity import tau
+from .linalg import StochasticMatrix, as_distribution, dominant_pair
+from .ergodicity import BLOCK_ENTRIES, _column_medians
 
 MIXING_CAP = 10 ** 6
 DRIFT_TOL = 1e-12
@@ -51,6 +51,17 @@ def distance_to_stationarity(A, k):
     return _worst_row_tv(Ak, pi)
 
 
+def _tau_inf_of_powers(pi, powers):
+    """tau_inf(pi, (A^k)^T) for each power A^k in `powers`, by one weighted-median
+    pass over all their rows.
+
+    The anchor is shared and the columns of each (A^k)^T are solved
+    independently, so every value is bit-identical to its own `tau` call.
+    """
+    values, _ = _column_medians(pi, np.vstack(powers).T)
+    return np.max(values.reshape(len(powers), -1), axis=1, initial=0.0)
+
+
 @dataclass
 class MixingReport:
     """Mixing time with the full distance trace.
@@ -71,26 +82,36 @@ def mixing_time(A, epsilon, cap=MIXING_CAP):
 
     The scan asserts the standard non-increase of d along k only as a
     warning; t_mix never relies on early exit.  Chains that fail to mix
-    within the cap raise.
+    within the cap raise.  identity_residual is computed per chunk of
+    steps: the powers A^k are buffered, at most BLOCK_ENTRIES entries of
+    them (one power where a single power exceeds that), and their
+    coefficients are taken in one weighted-median pass when the chunk fills
+    and at t_mix.
     """
     A = StochasticMatrix.of(A, "mixing time")
     if not (0.0 < epsilon < 1.0):
         raise PreconditionError("epsilon must lie in (0, 1)")
     _, pi = dominant_pair(A)
     n = A.n
+    chunk = max(1, BLOCK_ENTRIES // (n * n))
     Ak = np.eye(n)
     trace = []
+    powers = []
     residual = 0.0
     prev = None
     k = 0
     while True:
         d = _worst_row_tv(Ak, pi)
         trace.append((k, d))
-        coeff = tau(pi, Ak.T, INF).value
-        residual = max(residual, abs(d - 0.5 * coeff))
+        powers.append(Ak)
         if prev is not None and d > prev + 1e-12:
             warnings.warn(f"distance increased at step {k}: {prev} -> {d}", stacklevel=2)
         prev = d
+        if d <= epsilon or len(powers) == chunk:
+            dists = np.array([dk for _, dk in trace[-len(powers):]])
+            coeffs = _tau_inf_of_powers(pi, powers)
+            residual = max(residual, float(np.max(np.abs(dists - 0.5 * coeffs))))
+            powers = []
         if d <= epsilon:
             return MixingReport(float(epsilon), k, trace, residual)
         if k >= cap:

@@ -15,7 +15,8 @@ from .linalg import INF, StochasticMatrix, dominant_pair, orthogonal_projector, 
 from .ergodicity import dobrushin, tau, tau_oblique
 from .seminorm import SeminormWeight, deflated_norm, induced_seminorm
 from .spectral import ess_spectral_radius, optimal_weight, symmetric_l2_identity
-from .markov import distance_to_stationarity
+from .markov import (_renormalize_rows, _tau_inf_of_powers, _worst_row_tv,
+                     distance_to_stationarity)
 from .oracle import oracle_tau, oracle_weighted_seminorm
 
 SUITES = ("equivalence", "oblique", "incidence", "conjecture", "spectral", "mixing")
@@ -234,13 +235,20 @@ def suite_mixing(trials=50, seed=0):
         n = int(rng.integers(2, 7))
         S = _random_stochastic(rng, n)
         _, pi = dominant_pair(S)
-        Ak = np.eye(n)
-        for k in range(0, 8):
-            d = distance_to_stationarity(S, k)
+        # d(S, k) from the renormalized power, as distance_to_stationarity
+        # accumulates it; the definition and the coefficient from the plain power
+        powers, renormalized = [np.eye(n)], np.eye(n)
+        dists = [_worst_row_tv(renormalized, pi)]
+        for _ in range(1, 7):
+            powers.append(powers[-1] @ S.matrix)
+            renormalized = _renormalize_rows(renormalized @ S.matrix)
+            dists.append(_worst_row_tv(renormalized, pi))
+        powers.append(powers[-1] @ S.matrix)
+        dists.append(distance_to_stationarity(S, 7))
+        for Ak, d, coeff in zip(powers, dists, _tau_inf_of_powers(pi, powers)):
             direct = 0.5 * float(np.max(np.sum(np.abs(Ak - np.outer(np.ones(n), pi)), axis=1)))
             g_def.append(abs(d - direct))
-            m_coeff.append(d - 0.5 * tau(pi, Ak.T, INF).value)
-            Ak = Ak @ S.matrix
+            m_coeff.append(d - 0.5 * float(coeff))
     checks = {
         "distance_equals_deflation_norm": {"max_residual": max(g_def), "tolerance": 1e-9},
         "coefficient_lower_bound": {"max_residual": max(0.0, -min(m_coeff)), "tolerance": 1e-10},

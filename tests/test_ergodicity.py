@@ -4,7 +4,7 @@ import pytest
 from ergo import (INF, CrossCheckError, PreconditionError, StochasticMatrix,
                   deflated_norm, dobrushin, dominant_pair, induced_pnorm,
                   oracle_tau, tau, tau_oblique)
-from ergo.ergodicity import _overlap_form
+from ergo.ergodicity import BLOCK_ENTRIES, _overlap_form, _pair_blocks, _tau_l1
 
 rng = np.random.default_rng(7)
 
@@ -215,3 +215,71 @@ def test_overlap_form_matches_pair_loop():
                          for i in range(n) for j in range(i + 1, n)) if n > 1 else 0.0
         assert repr(_overlap_form(M)) == repr(loop)
         assert repr(_overlap_form(np.asfortranarray(M))) == repr(loop)
+
+
+def _per_row_tau1(v, A):
+    """The pair kernel taking one row against all later rows per step."""
+    A = np.ascontiguousarray(A)
+    absv = np.abs(v)
+    rownorm1 = np.sum(np.abs(A), axis=1)
+    best = 0.0
+    for i in range(len(v) - 1):
+        den = absv[i] + absv[i + 1:]
+        dist = np.sum(np.abs(v[i + 1:, None] * A[i] - v[i] * A[i + 1:]), axis=1)
+        vals = np.divide(dist, den, out=np.maximum(rownorm1[i], rownorm1[i + 1:]),
+                         where=den != 0.0)
+        best = max(best, float(np.max(vals)))
+    return best
+
+
+def _per_row_overlap(M):
+    M = np.ascontiguousarray(M)
+    if M.shape[0] < 2:
+        return 0.0
+    return 1.0 - min(float(np.min(np.sum(np.minimum(M[i], M[i + 1:]), axis=1)))
+                     for i in range(M.shape[0] - 1))
+
+
+def test_pair_blocks_tile_the_pair_loop():
+    regimes = set()
+    for m in (1, 2, 3, 17, 41, 64, 130):
+        for n in (0, 1, 5, 40, 300):
+            blocks = list(_pair_blocks(m, n))
+            starts = [0] + [i1 for _, i1, _ in blocks]
+            assert [i0 for i0, _, _ in blocks] == starts[:-1]
+            assert starts[-1] == max(m - 1, 0)
+            for i0, i1, later in blocks:
+                rest = m - i0 - 1
+                assert i1 - i0 == 1 or (i1 - i0) * rest * n <= BLOCK_ENTRIES
+                pairs = {(i0 + r, i0 + 1 + c) for r, c in zip(*np.nonzero(later))}
+                assert pairs == {(i, j) for i in range(i0, i1) for j in range(i + 1, m)}
+                if 2 * rest * n > BLOCK_ENTRIES:
+                    regimes.add("one row")
+            regimes.add("one block" if len(blocks) == 1 else "several blocks")
+    assert regimes == {"one block", "several blocks", "one row"}
+
+
+def test_blocked_pair_kernels_match_per_row_loop():
+    # bit for bit: one block, several blocks and one row per block, with
+    # rectangular and Fortran-ordered input and anchors that reach den == 0
+    local = np.random.default_rng(19)
+    for m in (2, 3, 17, 41, 64, 130):
+        for n in (1, 5, 40, 300):
+            zeroed = local.standard_normal(m)
+            zeroed[local.random(m) < 0.5] = 0.0
+            small = local.integers(-2, 3, m).astype(float)
+            for v, A in ((np.ones(m), local.uniform(0.0, 1.0, (m, n))),
+                         (zeroed, local.uniform(-1.0, 1.0, (m, n))),
+                         (small, local.integers(-2, 3, (m, n)).astype(float)),
+                         (local.standard_normal(m), local.standard_normal((m, n)))):
+                expected = repr(_per_row_tau1(v, A))
+                assert repr(_tau_l1(v, A)) == expected
+                assert repr(_tau_l1(v, np.asfortranarray(A))) == expected
+            M = local.uniform(0.0, 1.0, (m, n)) ** 3
+            M[local.random((m, n)) < 0.4] = 0.0
+            M += 1e-3
+            M /= M.sum(axis=1, keepdims=True)
+            M[m // 2] = M[0]  # repeated rows: overlap rounds to just above 1
+            expected = repr(_per_row_overlap(M))
+            assert repr(_overlap_form(M)) == expected
+            assert repr(_overlap_form(np.asfortranarray(M))) == expected

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ergo import (PreconditionError, StochasticMatrix, distance_to_stationarity,
-                  dominant_pair, mixing_time, total_variation)
+from ergo import (INF, PreconditionError, StochasticMatrix, distance_to_stationarity,
+                  dominant_pair, mixing_time, tau, total_variation)
+from ergo.ergodicity import BLOCK_ENTRIES
 
 rng = np.random.default_rng(17)
 
@@ -87,3 +90,66 @@ def test_distance_long_horizon_drift_control():
     S = random_primitive(5)
     d = distance_to_stationarity(S, 400)
     assert 0.0 <= d < 1e-12
+
+
+def lazy_cycle(n):
+    C = 0.5 * np.eye(n)
+    for i in range(n):
+        C[i, (i + 1) % n] += 0.25
+        C[i, (i - 1) % n] += 0.25
+    return StochasticMatrix(C)
+
+
+def _per_step_scan(S, epsilon):
+    """mixing_time with one tau_inf call per step, as the definition reads."""
+    _, pi = dominant_pair(S)
+    Ak = np.eye(S.n)
+    trace, residual, k = [], 0.0, 0
+    while True:
+        d = 0.5 * float(np.max(np.sum(np.abs(Ak - pi[None, :]), axis=1)))
+        trace.append((k, d))
+        residual = max(residual, abs(d - 0.5 * tau(pi, Ak.T, INF).value))
+        if d <= epsilon:
+            return k, trace, residual
+        Ak = Ak @ S.matrix
+        sums = Ak.sum(axis=1)
+        if np.max(np.abs(sums - 1.0)) > 1e-12:
+            Ak = Ak / sums[:, None]
+        k += 1
+
+
+def test_mixing_time_matches_per_step_scan():
+    # the residual is batched over chunks of steps; every chunk boundary,
+    # including several flushes before t_mix on the larger cycles, must give
+    # the same bits as one coefficient per step
+    local = np.random.default_rng(23)
+    chains = [(lazy_cycle(n), 0.01) for n in range(3, 31)]
+    for _ in range(30):
+        n = int(local.integers(2, 26))
+        M = local.uniform(0.0, 1.0, (n, n)) ** 4
+        M[local.random((n, n)) < 0.6] = 0.0
+        M += 0.05 * np.eye(n) + 0.01 * np.roll(np.eye(n), 1, axis=1)
+        chains.append((StochasticMatrix(M / M.sum(axis=1, keepdims=True)),
+                       float(local.choice([0.25, 0.01, 1e-4]))))
+    flushes = 0
+    for S, eps in chains:
+        report = mixing_time(S, eps)
+        t_mix, trace, residual = _per_step_scan(S, eps)
+        assert report.t_mix == t_mix
+        assert repr(report.trace) == repr(trace)
+        assert repr(report.identity_residual) == repr(residual)
+        flushes = max(flushes, (t_mix + 1) // max(1, BLOCK_ENTRIES // S.n ** 2))
+    assert flushes > 10
+
+
+def test_mixing_time_memory_bounded_by_chunk():
+    # holding every power of the lazy 40-cycle up to t_mix would take 8.6 MB
+    S = lazy_cycle(40)
+    tracemalloc.start()
+    try:
+        report = mixing_time(S, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.t_mix == 673
+    assert peak < 2 * 2 ** 20
