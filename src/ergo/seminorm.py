@@ -1,13 +1,13 @@
-"""Weighted vector seminorms ||R x||_p, their induced matrix seminorms, the
-deflated induced norm Psi_q, and the generalized-eigenvalue route for l2.
+"""Weighted vector seminorms ||R x||_p, their induced matrix seminorms and
+the deflated induced norm Psi_q.
 
 Every induced seminorm here is the literal constrained maximum
 
     |||A|||_{p,R} = max { ||R A x||_p : ||R x||_p <= 1, x perp ker R }
 
-computed exactly.  For weights with a one-dimensional kernel the feasible set
-reduces to a plain p-ball inside a hyperplane, which is a tau-shaped problem
-solved by the exact engine in `ergodicity`; the l2 case is a symmetric pencil.
+computed exactly.  When ker R is A-invariant, every weight but the incidence
+one reduces to a p-ball inside a hyperplane, that is to one call of the exact
+tau engine in `ergodicity` (the R = S Q reduction of `induced_seminorm`).
 """
 
 from __future__ import annotations
@@ -106,78 +106,57 @@ def kernel_invariance_residual(A, weight):
     return float(np.linalg.norm(Ak - lam * k) / np.linalg.norm(k))
 
 
-def _pencil_l2(R, A, kernel):
-    """l2 induced seminorm as the top generalized eigenvalue of
-    ((RA)^T RA, R^T R) restricted to the orthogonal complement of the kernel."""
-    n = A.shape[0]
-    U = scipy.linalg.null_space(kernel.reshape(1, n))
-    RA = R @ A
-    G1 = U.T @ RA.T @ RA @ U
-    G2 = U.T @ R.T @ R @ U
-    vals = scipy.linalg.eigh(G1, G2, eigvals_only=True)
-    return float(np.sqrt(max(vals[-1], 0.0)))
-
-
 def induced_seminorm(A, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
     """Exact R-weighted induced matrix seminorm |||A|||_{p,R}.
 
-    The kernel of the weight must be (numerically) A-invariant for the
-    closed-form reductions; otherwise the brute-force evaluator takes over
-    up to n <= 5 and larger inputs are refused.
+    Every weight but the incidence one is R = S Q: Q is an idempotent
+    projector (P_v, Pi_n or Q_w) with kernel ker R and image anchor-perp, and
+    S is the factor of a factored weight, the identity otherwise.  When ker R
+    is A-invariant, R A x = (R A S^-1)(S Q x) and S Q maps ker R-perp onto
+    S(anchor-perp) = (S^-T anchor)-perp, so
+
+        |||A|||_{p,R} = tau_p(S^-T anchor, (R A S^-1)^T)
+
+    for every p.  The incidence weight equals the agreement weight up to a
+    factor at p = 2 and is the Dobrushin coefficient at p = inf on a chain.
+    Every other case (a kernel that is not A-invariant, incidence p = 1, or
+    incidence p = inf off the chains) goes to the brute-force evaluator up
+    to n <= 5; larger inputs are refused.
     """
     A = as_matrix(A)
     p = as_pnorm(p)
     n = weight.n
     if A.shape != (n, n):
         raise PreconditionError(f"matrix shape {A.shape} does not match weight on R^{n}")
+    if weight.kind not in ("orthogonal", "oblique", "agreement", "incidence", "factored"):
+        raise PreconditionError(f"unknown weight kind {weight.kind!r}")
 
-    if kernel_invariance_residual(A, weight) > invariance_tol:
-        if n <= ORACLE_DIMENSION_CAP:
-            from .oracle import oracle_weighted_seminorm
-            return oracle_weighted_seminorm(A, weight, p).value
-        raise PreconditionError(
-            "weight kernel is not A-invariant; no closed form and the "
-            f"brute-force evaluator is capped at n <= {ORACLE_DIMENSION_CAP}")
-
-    if weight.kind in ("orthogonal", "agreement"):
-        v = weight.kernel if weight.kind == "agreement" else weight.anchor
-        P = orthogonal_projector(v)
-        return tau(v, (P @ A).T, p).value
-
-    if weight.kind == "oblique":
-        w = weight.anchor
-        Q = weight.matrix
-        # Q_w maps the kernel complement bijectively onto w-perp, so the
-        # feasible set is the p-ball inside that hyperplane
-        return tau(w, (Q @ A).T, p).value
-
-    if weight.kind == "factored":
-        S, v = weight.s_factor, weight.anchor
-        if p == 2:
-            return _pencil_l2(weight.matrix, A, v)
-        u = scipy.linalg.solve(S.T, v)
-        B = weight.matrix @ A @ scipy.linalg.inv(S)
-        return tau(u, B.T, p).value
-
-    if weight.kind == "incidence":
+    invariant = kernel_invariance_residual(A, weight) <= invariance_tol
+    if invariant and weight.kind == "incidence":
         if p == 2:
             # ||C^T x||_2 = sqrt(2n) ||Pi x||_2 makes the two weights identical
-            one = np.ones(n)
-            P = agreement_projector(n)
-            return tau(one, (P @ A).T, 2).value
-        if p == INF:
+            weight = SeminormWeight.agreement(n)
+        elif p == INF:
             try:
                 return dobrushin(A).value
             except PreconditionError:
                 pass  # not a chain: no closed form, try the brute-force evaluator
-        if n <= ORACLE_DIMENSION_CAP:
-            from .oracle import oracle_weighted_seminorm
-            return oracle_weighted_seminorm(A, weight, p).value
-        raise PreconditionError(
-            f"incidence weight with p={p} has no closed form here and the "
-            f"brute-force evaluator is capped at n <= {ORACLE_DIMENSION_CAP}")
+    if invariant and weight.kind != "incidence":
+        u, B = weight.anchor, weight.matrix @ A
+        if weight.s_factor is not None:
+            u, B = scipy.linalg.solve(weight.s_factor.T, u), B @ scipy.linalg.inv(weight.s_factor)
+        return tau(u, B.T, p).value
 
-    raise PreconditionError(f"unknown weight kind {weight.kind!r}")
+    if n <= ORACLE_DIMENSION_CAP:
+        from .oracle import oracle_weighted_seminorm
+        return oracle_weighted_seminorm(A, weight, p).value
+    if not invariant:
+        raise PreconditionError(
+            "weight kernel is not A-invariant; no closed form and the "
+            f"brute-force evaluator is capped at n <= {ORACLE_DIMENSION_CAP}")
+    raise PreconditionError(
+        f"incidence weight with p={p} has no closed form here and the "
+        f"brute-force evaluator is capped at n <= {ORACLE_DIMENSION_CAP}")
 
 
 @dataclass

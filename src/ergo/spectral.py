@@ -32,7 +32,7 @@ from .errors import CrossCheckError, PreconditionError
 from .linalg import (DIAGONALIZABLE_COND, StochasticMatrix, as_matrix, eigendecompose,
                      orthogonal_projector, _boolean_primitive)
 from .ergodicity import tau
-from .seminorm import SeminormWeight
+from .seminorm import SeminormWeight, induced_seminorm
 
 RHO_CROSS_TOL = 1e-8
 REAL_SPECTRUM_TOL = 1e-9
@@ -146,7 +146,7 @@ def optimal_weight(A, epsilon=1e-3):
 def _optimal_weight(M, primitive, epsilon, decomposed=None):
     """`optimal_weight` of an unwrapped matrix; `decomposed` is the
     `_decompose(M, primitive)` pair when the caller already holds it."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise PreconditionError("epsilon must be positive")
     if not primitive:
         raise PreconditionError("optimal weight construction needs a primitive matrix")
@@ -179,8 +179,9 @@ def _optimal_weight(M, primitive, epsilon, decomposed=None):
 def symmetric_l2_identity(A):
     """|||A|||_{2,P_v} for a primitive symmetric matrix; equals rho_ess.
 
-    The value is computed through the projector route and asserted against
-    the spectral one before being returned.
+    The value is computed as the induced seminorm in the orthogonal weight
+    of the dominant eigenvector and asserted against the spectral one before
+    being returned.
     """
     M, primitive = _unwrap(A)
     if np.max(np.abs(M - M.T)) > 1e-12:
@@ -188,9 +189,7 @@ def symmetric_l2_identity(A):
     if not primitive:
         raise PreconditionError("identity holds for primitive matrices")
     report, _ = _decompose(M, primitive)
-    v = report.dominant_v
-    P = orthogonal_projector(v)
-    value = tau(v, (P @ M).T, 2).value
+    value = induced_seminorm(M, SeminormWeight.orthogonal(report.dominant_v), 2)
     if abs(value - report.rho_ess) > 1e-9 * max(1.0, report.rho_ess):
         raise CrossCheckError(
             f"l2 projector seminorm {value} disagrees with rho_ess {report.rho_ess}")

@@ -19,9 +19,6 @@ from .markov import (_renormalize_rows, _tau_inf_of_powers, _worst_row_tv,
                      distance_to_stationarity)
 from .oracle import oracle_tau, oracle_weighted_seminorm
 
-SUITES = ("equivalence", "oblique", "incidence", "conjecture", "spectral", "mixing")
-
-
 def _require_trials(trials):
     if trials < 1:
         raise PreconditionError("trials must be at least 1")
@@ -270,16 +267,20 @@ def _finish(name, trials, seed, checks, measurements):
     }
 
 
+_SUITE_FUNCTIONS = {
+    "equivalence": suite_equivalence,
+    "oblique": suite_oblique,
+    "incidence": suite_incidence,
+    "conjecture": suite_conjecture,
+    "spectral": suite_spectral,
+    "mixing": suite_mixing,
+}
+SUITES = tuple(_SUITE_FUNCTIONS)
+
+
 def run_suite(name, trials=None, seed=0):
-    table = {
-        "equivalence": (suite_equivalence, 100),
-        "oblique": (suite_oblique, 100),
-        "incidence": (suite_incidence, 100),
-        "conjecture": (suite_conjecture, 200),
-        "spectral": (suite_spectral, 50),
-        "mixing": (suite_mixing, 50),
-    }
-    if name not in table:
+    """Run one suite; trials=None takes the suite function's own default."""
+    if name not in _SUITE_FUNCTIONS:
         raise PreconditionError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    fn, default = table[name]
-    return fn(trials if trials is not None else default, seed)
+    fn = _SUITE_FUNCTIONS[name]
+    return fn(seed=seed) if trials is None else fn(trials, seed)

@@ -115,6 +115,16 @@ def test_rho_ess_command(tmp_path, capsys):
     assert report["result"]["certificate"]["certified_value"] <= 0.801
 
 
+def test_rho_ess_non_positive_eps_skips_certificate(tmp_path, capsys):
+    p = tmp_path / "sym.csv"
+    p.write_text("0.9,0.1\n0.1,0.9\n")
+    for eps in ("0", "nan"):
+        code, report = run_cli(capsys, "rho-ess", str(p), "--eps", eps)
+        assert code == 0
+        assert report["result"]["certificate"] is None
+        assert report["result"]["certificate_skipped"] == "epsilon must be positive"
+
+
 def test_rho_ess_non_primitive_still_reports(tmp_path, capsys):
     p = tmp_path / "eye.csv"
     p.write_text("1.0,0.0\n0.0,1.0\n")

@@ -1,6 +1,8 @@
-"""Undefined-name guard: every global a function in `src/ergo` reads must be
-an attribute of its module or a builtin (stdlib `symtable`, no linter)."""
+"""Name guards over `src/ergo`, with the stdlib only (no linter): every global
+a function reads must be an attribute of its module or a builtin, and every
+module-level import must be read in its module."""
 
+import ast
 import builtins
 import importlib
 import pathlib
@@ -30,3 +32,35 @@ def test_function_globals_are_defined():
                         and not hasattr(module, ref) and not hasattr(builtins, ref)):
                     undefined.append(f"{name}.{scope.get_name()} -> {ref}")
     assert undefined == []
+
+
+def _dotted(node):
+    """'a.b.c' for a chain of attribute reads on a name, None otherwise."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return f"{base}.{node.attr}" if base else None
+    return None
+
+
+def test_module_imports_are_read():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = _dotted(node)
+                if name:
+                    # every prefix of a.b.c is read as well
+                    parts = name.split(".")
+                    read.update(".".join(parts[:k]) for k in range(1, len(parts) + 1))
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                bound = (a.asname or a.name for a in node.names)
+                unused.extend(f"{path.stem}.{b}" for b in bound if b not in read)
+    assert unused == []

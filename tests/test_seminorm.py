@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 from ergo import (INF, CrossCheckError, PreconditionError, SeminormWeight,
                   StochasticMatrix, agreement_projector, deflated_norm, dobrushin, dominant_pair,
                   induced_pnorm, induced_seminorm, kernel_invariance_residual,
-                  lmi_l2, oracle_weighted_seminorm, tau, vector_seminorm)
+                  lmi_l2, oracle_weighted_seminorm, orthogonal_projector, tau, vector_seminorm)
 
 rng = np.random.default_rng(31)
 
@@ -33,6 +34,9 @@ def test_weight_construction():
     assert W.matrix.shape == (6, 3)
     with pytest.raises(PreconditionError):
         SeminormWeight.factored(np.zeros((2, 2)), np.ones(2))
+    unknown = SeminormWeight("unknown", agreement_projector(2), np.ones(2), anchor=np.ones(2))
+    with pytest.raises(PreconditionError, match="unknown weight kind"):
+        induced_seminorm(A22, unknown, 1)
 
 
 def test_vector_seminorm_examples():
@@ -111,6 +115,58 @@ def test_oblique_seminorm_equals_tau_oblique():
             assert abs(semi - coeff) < 1e-9
 
 
+def _pencil_l2(R, A, kernel):
+    """l2 induced seminorm as the top generalized eigenvalue of
+    ((RA)^T RA, R^T R) restricted to the orthogonal complement of the kernel."""
+    n = A.shape[0]
+    U = scipy.linalg.null_space(kernel.reshape(1, n))
+    RA = R @ A
+    vals = scipy.linalg.eigh(U.T @ RA.T @ RA @ U, U.T @ R.T @ R @ U, eigvals_only=True)
+    return float(np.sqrt(max(vals[-1], 0.0)))
+
+
+def _per_kind_reference(A, W, p):
+    """The seminorm written out once per weight kind: a tau problem on the
+    projected matrix, and the symmetric pencil for a factored weight at p = 2."""
+    if W.kind in ("orthogonal", "agreement"):
+        v = W.kernel if W.kind == "agreement" else W.anchor
+        return tau(v, (orthogonal_projector(v) @ A).T, p).value
+    if W.kind == "oblique":
+        return tau(W.anchor, (W.matrix @ A).T, p).value
+    if p == 2:
+        return _pencil_l2(W.matrix, A, W.anchor)
+    u = scipy.linalg.solve(W.s_factor.T, W.anchor)
+    return tau(u, (W.matrix @ A @ scipy.linalg.inv(W.s_factor)).T, p).value
+
+
+def test_weight_routes_match_literal_references_beyond_oracle_cap():
+    local = np.random.default_rng(41)
+    for n in (7, 16, 40):
+        M = local.uniform(0.0, 1.0, (n, n)) + 0.05
+        S = StochasticMatrix(M / M.sum(axis=1, keepdims=True))
+        _, w = dominant_pair(S)
+        F = local.standard_normal((n, n))
+        while np.linalg.cond(F) > 1e6:
+            F = local.standard_normal((n, n))
+        while True:
+            E = local.uniform(-1.0, 1.0, (n, n))
+            vals, vecs = np.linalg.eig(E)
+            real = np.flatnonzero(np.abs(vals.imag) <= 1e-12)
+            if real.size:
+                break
+        cases = ((S.matrix, SeminormWeight.agreement(n)),
+                 (E, SeminormWeight.orthogonal(np.real(vecs[:, real[0]]))),
+                 (S.matrix, SeminormWeight.oblique(w)),
+                 (S.matrix, SeminormWeight.factored(F, np.ones(n))))
+        for A, W in cases:
+            for p in (1, 2, INF):
+                value, expected = induced_seminorm(A, W, p), _per_kind_reference(A, W, p)
+                if W.kind == "factored" and p == 2:
+                    assert abs(value - expected) <= 1e-12 * expected, (n, W.kind, p)
+                else:
+                    assert repr(value) == repr(expected), (n, W.kind, p)
+
+
 def test_non_invariant_kernel_falls_back_or_refuses():
     A = rng.uniform(-1.0, 1.0, (3, 3))
     v = rng.standard_normal(3)
@@ -180,8 +236,8 @@ def test_lmi_frozen():
 
 
 def test_lmi_cross_identity_with_factored_route():
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
+    for size in [None] * 20 + [12, 40]:
+        n = size or int(rng.integers(2, 6))
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
         U = np.linalg.svd(v.reshape(1, n))[2][1:].T

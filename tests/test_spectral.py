@@ -89,8 +89,9 @@ def test_optimal_weight_schur_fallback_complex():
 def test_optimal_weight_preconditions():
     with pytest.raises(PreconditionError):
         optimal_weight(np.eye(3), 1e-3)
-    with pytest.raises(PreconditionError):
-        optimal_weight(np.array([[0.9, 0.1], [0.1, 0.9]]), 0.0)
+    for eps in (0.0, float("nan")):
+        with pytest.raises(PreconditionError, match="epsilon must be positive"):
+            optimal_weight(np.array([[0.9, 0.1], [0.1, 0.9]]), eps)
 
 
 def test_lower_bound_over_random_factored_weights():
