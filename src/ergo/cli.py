@@ -8,6 +8,7 @@ failure, 4 numerical cross-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -174,7 +175,14 @@ def cmd_verify(args):
     return report, residuals
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared: do not modify it.
+
+    Nothing callable is bound into it: `main` looks the `cmd_*` handler up in
+    this module when it dispatches, so replacing a handler, or a name that a
+    handler calls, takes effect on the next call.
+    """
     parser = argparse.ArgumentParser(
         prog="ergo",
         description="ergodicity coefficients, induced matrix seminorms, and "
@@ -186,52 +194,45 @@ def build_parser():
     p.add_argument("matrix")
     p.add_argument("--p", default="1", help="1, 2 or inf")
     p.add_argument("--anchor", default="ones", help="ones, stationary or file:<path>")
-    p.set_defaults(fn=cmd_tau)
 
     p = sub.add_parser("seminorm", help="weighted induced matrix seminorm")
     p.add_argument("matrix")
     p.add_argument("--weight", required=True, help=_WEIGHT_CHOICES)
     p.add_argument("--p", default="inf", help="1, 2 or inf")
     p.add_argument("--anchor", default="ones", help="anchor vector for the factored weight")
-    p.set_defaults(fn=cmd_seminorm)
 
     p = sub.add_parser("mixing", help="epsilon-mixing time of a chain")
     p.add_argument("matrix")
     p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(fn=cmd_mixing)
 
     p = sub.add_parser("rho-ess", help="essential spectral radius and weight certificate")
     p.add_argument("matrix")
     p.add_argument("--eps", type=float, default=1e-3)
-    p.set_defaults(fn=cmd_rho_ess)
 
     p = sub.add_parser("certify", help="semicontraction certificate for a matrix sequence")
     p.add_argument("sequence", help="directory of matrix files or a JSON array")
     p.add_argument("--p", default="inf", help="1, 2 or inf")
     p.add_argument("--x0", default=None, help="initial state vector file")
-    p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("verify", help="randomized closed-form validation suites")
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=cmd_verify)
 
     return parser
 
 
 def _echo_inputs(args):
-    skip = {"fn", "command"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+    return {k: v for k, v in sorted(vars(args).items()) if k != "command" and v is not None}
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "verify" and args.seed is None:
-        args.seed = _env_seed()
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        payload, residuals = args.fn(args)
+        if args.command == "verify" and args.seed is None:
+            args.seed = _env_seed()
+        payload, residuals = handler(args)
     except ErgoError as e:
         print(f"ergo: {e}", file=sys.stderr)
         return e.exit_code

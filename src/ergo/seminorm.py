@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
-import scipy.sparse
 
 from .errors import CrossCheckError, PreconditionError
 from .linalg import (INF, as_matrix, as_pnorm, as_vector, agreement_projector,
@@ -184,6 +182,10 @@ def _deflate_linf(v, A):
     n + 1 equalities and mn + m nonnegative variables [p, lam].  The
     multipliers of the column equalities are -c.
     """
+    # the LP stack is loaded on first use, so `import ergo` does not pay for it
+    import scipy.optimize
+    import scipy.sparse
+
     m, n = A.shape
     mn = m * n
     row = np.repeat(np.arange(m), n)  # p_ij sits at k = i n + j

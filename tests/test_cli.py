@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +208,31 @@ def test_env_seed_fallback(monkeypatch, capsys):
     assert report["result"]["seed"] == 11
 
 
+def test_invalid_env_seed_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("ERGO_SEED", "abc")
+    code = main(["verify", "--suite", "mixing", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "ergo: ERGO_SEED must be an integer, got 'abc'\n"
+
+
+def test_cached_parser_carries_no_state(a22, capsys):
+    from ergo.cli import build_parser
+    assert build_parser() is build_parser()
+    main(["tau", str(a22)])
+    first = capsys.readouterr().out
+    assert main(["tau", str(a22), "--p", "inf"]) == 0
+    with pytest.raises(SystemExit) as e:
+        main(["tau"])
+    assert e.value.code == 2
+    capsys.readouterr()
+    main(["tau", str(a22)])
+    last = capsys.readouterr().out
+    assert json.loads(last)["inputs"]["p"] == json.loads(last)["result"]["p"] == "1"
+    assert last == first
+
+
 def test_reports_are_byte_identical(a22, capsys):
     main(["tau", str(a22), "--p", "1"])
     out1 = capsys.readouterr().out
@@ -219,8 +248,8 @@ def test_cross_check_failure_exits_4(a22, capsys, monkeypatch):
     def boom(args):
         raise CrossCheckError("routes disagreed")
 
-    # build_parser resolves cmd_tau at call time, so patching the module
-    # attribute reroutes dispatch
+    # main looks cmd_tau up in the module when it dispatches, so patching
+    # the module attribute reroutes dispatch
     monkeypatch.setattr(cli, "cmd_tau", boom)
     code = cli.main(["tau", str(a22)])
     capsys.readouterr()
@@ -315,3 +344,40 @@ def test_rho_ess_decomposes_once(tmp_path, capsys, monkeypatch):
     assert code == 0 and report["result"]["certificate"] is not None
     assert len(decompositions) == 1
     assert len(primitivity_tests) == 1
+
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def _fresh_python(*args):
+    """Run a new interpreter that imports ergo from this checkout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=False, timeout=120)
+
+
+def test_fresh_import_defers_the_lp_stack():
+    import ergo
+    script = """
+import sys
+import numpy as np
+import ergo, ergo.cli
+lp = ("scipy.optimize", "scipy.sparse")
+print([m in sys.modules for m in lp])
+A = np.array([[0.5, 0.2, 0.3], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])
+value = ergo.deflated_norm(np.ones(3), A, ergo.INF).value
+print([m in sys.modules for m in lp])
+print(repr(value))
+"""
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    A = np.array([[0.5, 0.2, 0.3], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])
+    expected = ergo.deflated_norm(np.ones(3), A, ergo.INF).value
+    assert proc.stdout.splitlines() == ["[False, False]", "[True, True]", repr(expected)]
+
+
+def test_python_m_ergo_cli_matches_in_process(a22, capsys):
+    proc = _fresh_python("-m", "ergo.cli", "tau", str(a22), "--p", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert main(["tau", str(a22), "--p", "1"]) == 0
+    assert proc.stdout == capsys.readouterr().out
