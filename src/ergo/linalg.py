@@ -257,21 +257,18 @@ def dominant_pair(A):
 
 @dataclass
 class EigenDecomposition:
-    """Eigenvalues sorted by descending modulus plus a usable real or complex factor.
+    """Eigenvalues sorted by descending modulus plus the eigenvector basis.
 
     When the eigenvector matrix is well conditioned (below the 1e8 threshold)
     `basis` holds it and `diagonalizable` is set.  If LAPACK's vectors fail
     that test, each repeated real eigenvalue gets an orthonormal basis of its
     eigenspace (and exactly real values) and the test is repeated.
-    Otherwise the real Schur factors are the stable surrogate, and they are
-    computed only then.
+    Otherwise the basis is rejected: `basis` is None.
     """
 
     values: np.ndarray
     diagonalizable: bool
     basis: np.ndarray | None
-    schur_t: np.ndarray | None
-    schur_z: np.ndarray | None
 
 
 def _condition(vectors):
@@ -313,13 +310,8 @@ def eigendecompose(A, cond_threshold=DIAGONALIZABLE_COND):
     if not diagonalizable:
         values, vectors = _orthonormal_eigenspaces(A, values, vectors)
         diagonalizable = _condition(vectors) < cond_threshold
-    schur_t = schur_z = None
-    if not diagonalizable:
-        schur_t, schur_z = scipy.linalg.schur(A, output="real")
     return EigenDecomposition(
         values=values,
         diagonalizable=diagonalizable,
         basis=vectors if diagonalizable else None,
-        schur_t=schur_t,
-        schur_z=schur_z,
     )

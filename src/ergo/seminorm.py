@@ -7,7 +7,8 @@ Every induced seminorm here is the literal constrained maximum
 
 computed exactly.  When ker R is A-invariant, every weight but the incidence
 one reduces to a p-ball inside a hyperplane, that is to one call of the exact
-tau engine in `ergodicity` (the R = S Q reduction of `induced_seminorm`).
+tau engine in `ergodicity` (the R = S Q reduction of `induced_seminorm`); the
+incidence weight is the agreement weight at p = 2 and tau_1(1, A) at p = inf.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import CrossCheckError, PreconditionError
 from .linalg import (INF, as_matrix, as_pnorm, as_vector, agreement_projector,
                      induced_pnorm, oblique_projector, orthogonal_projector,
                      _incidence_rows)
-from .ergodicity import _anchored, _column_medians, dobrushin, tau
+from .ergodicity import _anchored, _column_medians, tau
 
 FACTOR_COND_LIMIT = 1e12
 KERNEL_INVARIANCE_TOL = 1e-8
@@ -116,10 +117,12 @@ def induced_seminorm(A, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
         |||A|||_{p,R} = tau_p(S^-T anchor, (R A S^-1)^T)
 
     for every p.  The incidence weight equals the agreement weight up to a
-    factor at p = 2 and is the Dobrushin coefficient at p = inf on a chain.
-    Every other case (a kernel that is not A-invariant, incidence p = 1, or
-    incidence p = inf off the chains) goes to the brute-force evaluator up
-    to n <= 5; larger inputs are refused.
+    factor at p = 2.  At p = inf, ||C^T x||_inf <= 1 with x perp 1 lets x
+    range over y - mean(y) 1 with y in [0, 1]^n, so once A 1 = lambda 1 the
+    row pair (a, b) contributes sum_k (A_ak - A_bk)^+ = ||A_a - A_b||_1 / 2
+    and the value is tau_1(1, A), on every invariant matrix.  The remaining
+    cases (a kernel that is not A-invariant, or incidence p = 1) go to the
+    brute-force evaluator up to n <= 5; larger inputs are refused.
     """
     A = as_matrix(A)
     p = as_pnorm(p)
@@ -135,10 +138,7 @@ def induced_seminorm(A, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
             # ||C^T x||_2 = sqrt(2n) ||Pi x||_2 makes the two weights identical
             weight = SeminormWeight.agreement(n)
         elif p == INF:
-            try:
-                return dobrushin(A).value
-            except PreconditionError:
-                pass  # not a chain: no closed form, try the brute-force evaluator
+            return tau(np.ones(n), A, 1).value
     if invariant and weight.kind != "incidence":
         u, B = weight.anchor, weight.matrix @ A
         if weight.s_factor is not None:

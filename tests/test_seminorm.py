@@ -384,13 +384,31 @@ def test_psi_inf_certificate_rejects_a_suboptimal_minimizer(monkeypatch):
 
 def test_incidence_inf_near_row_tolerance_is_not_a_chain():
     # raw row sums are within 1e-10 of 1, but once the -5e-11 entry is
-    # clipped row 0 sums to 1 + 1.4e-10: StochasticMatrix refuses it, so
-    # there is no Dobrushin closed form and the n = 3 oracle answers
+    # clipped row 0 sums to 1 + 1.4e-10: StochasticMatrix refuses it.  The
+    # kernel residual is about 1e-10, below KERNEL_INVARIANCE_TOL, so the
+    # closed form tau_1(1, A) answers; row sums that differ by s move each
+    # pair term by at most |s| + |s|/2, which bounds its gap to the oracle
     A = np.array([[0.5, 0.5 + 1.4e-10, -0.5e-10], [0.2, 0.3, 0.5], [0.1, 0.6, 0.3]])
     with pytest.raises(PreconditionError, match="row sums deviate"):
         StochasticMatrix(A)
     W = SeminormWeight.incidence(3)
-    assert induced_seminorm(A, W, INF) == oracle_weighted_seminorm(A, W, INF).value
+    value = induced_seminorm(A, W, INF)
+    assert value == tau(np.ones(3), A, 1).value
+    assert abs(value - oracle_weighted_seminorm(A, W, INF).value) <= 1.5 * np.ptp(A.sum(axis=1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 40])
+def test_incidence_inf_is_tau1_on_invariant_non_chains(n):
+    # A 1 = -0.3 * 1 with entries of both signs: not a chain, yet the
+    # closed form holds at every n, beyond the n <= 5 cap of the oracle
+    gen = np.random.default_rng(100 + n)
+    A = gen.uniform(-1.0, 1.0, (n, n))
+    A -= (A.sum(axis=1, keepdims=True) + 0.3) / n
+    W = SeminormWeight.incidence(n)
+    value = induced_seminorm(A, W, INF)
+    assert value == tau(np.ones(n), A, 1).value
+    if n <= 5:
+        assert value == pytest.approx(oracle_weighted_seminorm(A, W, INF).value, rel=1e-12)
 
 
 def test_dobrushin_reports_its_overlap_form():
