@@ -8,7 +8,9 @@ Exact closed forms for p in {1, 2, inf}:
            over rows A_i of A.  The pairs are taken in blocks of rows, each
            block against every later row in one broadcast of at most
            BLOCK_ENTRIES entries; the Dobrushin overlap form walks the same
-           blocks.
+           blocks.  An anchor of +-1 entries (the all-ones anchor among
+           them) needs no products: with H = v[:, None] * A each pair term
+           is ||H_i - H_j||_1 / 2, with the same bits.
   p = inf  column-wise LP: tau_inf = max_k min_mu ||A_{.k} - mu v||_1.  Each
            column's objective is convex and piecewise linear in mu with kinks
            at A_ik / v_i, so its minimum sits at a weighted median of the
@@ -75,6 +77,8 @@ def _tau_l1(v, A):
     # independent of how the caller laid A out
     A = np.ascontiguousarray(A)
     absv = np.abs(v)
+    if np.all(absv == 1.0):
+        return _tau_l1_unit(v, A)
     rownorm1 = np.sum(np.abs(A), axis=1)
     best = 0.0
     for i0, i1, later in _pair_blocks(*A.shape):
@@ -88,6 +92,23 @@ def _tau_l1(v, A):
                          where=den != 0.0)
         best = max(best, float(np.max(vals, where=later, initial=0.0)))
     return best
+
+
+def _tau_l1_unit(v, A):
+    """`_tau_l1` for an anchor of +-1 entries, bit for bit.
+
+    With H = v[:, None] * A (exact), v_j A_i - v_i A_j = v_i v_j (H_i - H_j)
+    and round-to-nearest is symmetric in sign, so each pair's distance is
+    ||H_i - H_j||_1 with the same bits, and the denominator is exactly 2.
+    """
+    H = v[:, None] * A
+    best = 0.0
+    for i0, i1, later in _pair_blocks(*H.shape):
+        diff = H[i0:i1, None, :] - H[i0 + 1:]
+        dist = np.sum(np.abs(diff, out=diff), axis=2)
+        best = max(best, float(np.max(dist, where=later, initial=0.0)))
+    # halving is monotone, so it commutes with the maximum
+    return best / 2.0
 
 
 def _column_medians(v, A):

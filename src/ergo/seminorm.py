@@ -8,11 +8,13 @@ Every induced seminorm here is the literal constrained maximum
 computed exactly.  When ker R is A-invariant, every weight but the incidence
 one reduces to a p-ball inside a hyperplane, that is to one call of the exact
 tau engine in `ergodicity` (the R = S Q reduction of `induced_seminorm`); the
-incidence weight is the agreement weight at p = 2 and tau_1(1, A) at p = inf.
+incidence weight is the agreement weight at p = 2 and tau_1(1, A) at p = inf,
+and neither reads its n(n-1) x n matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,15 +34,20 @@ DUALITY_GAP_TOL = 1e-9
 
 
 class SeminormWeight:
-    """Weight matrix R with a known one-dimensional kernel.
+    """Weight matrix R on R^n with a known one-dimensional kernel.
 
-    Construct through the factory classmethods; `matrix` is the materialized
-    R and `kernel` spans ker R.
+    Construct through the factory classmethods; `kernel` spans ker R and
+    `matrix` is R.  Every kind but the incidence one stores its n x n R when
+    it is built.  The incidence weight's R = C_n^T has n(n-1) rows (8 n^3
+    bytes) and its closed forms never read it, so it is built on the first
+    read of `matrix` (by the brute-force oracle or `vector_seminorm`) and kept.
     """
 
     def __init__(self, kind, matrix, kernel, s_factor=None, anchor=None):
         self.kind = kind
-        self.matrix = matrix
+        if matrix is not None:
+            # an instance attribute shadows the incidence rows built on read
+            self.matrix = matrix
         self.kernel = kernel
         self.s_factor = s_factor
         self.anchor = anchor
@@ -61,7 +68,9 @@ class SeminormWeight:
 
     @classmethod
     def incidence(cls, n):
-        return cls("incidence", _incidence_rows(n, np.float64), np.ones(n))
+        if n < 2:
+            raise PreconditionError("complete graph incidence needs n >= 2")
+        return cls("incidence", None, np.ones(n))
 
     @classmethod
     def factored(cls, S, v):
@@ -75,9 +84,13 @@ class SeminormWeight:
         R = S @ orthogonal_projector(v)
         return cls("factored", R, v, s_factor=S, anchor=v)
 
+    @functools.cached_property
+    def matrix(self):
+        return _incidence_rows(self.n, np.float64)
+
     @property
     def n(self):
-        return self.matrix.shape[1]
+        return len(self.kernel)
 
     def __repr__(self):
         return f"SeminormWeight(kind={self.kind!r}, n={self.n})"

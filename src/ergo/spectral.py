@@ -40,10 +40,15 @@ REAL_SPECTRUM_TOL = 1e-9
 
 @dataclass
 class SpectralReport:
+    """`dominant_v` is the unit dominant right eigenvector: the real one of
+    the accepted eigenbasis, or the power-iteration limit for a primitive
+    matrix (Perron-Frobenius makes it converge); None for any other matrix
+    whose basis is rejected or whose dominant eigenvector is complex."""
+
     rho_ess: float
     eigen_moduli: list
     diagonalizable: bool
-    dominant_v: np.ndarray
+    dominant_v: np.ndarray | None
 
 
 @dataclass
@@ -76,20 +81,19 @@ def _unwrap(A):
     return A, primitive
 
 
-def _dominant_right(A, decomp):
+def _dominant_right(A, decomp, primitive):
     vec = decomp.values[0]
     v = decomp.basis[:, 0] if decomp.basis is not None else None
     if v is None or np.max(np.abs(np.imag(v))) > 1e-9 or abs(np.imag(vec)) > 1e-9:
+        if not primitive:
+            return None
         # fall back to power iteration; primitive matrices have a simple
-        # positive dominant pair
+        # positive dominant pair, and A v > 0 for every v > 0
         n = A.shape[0]
         v = np.full(n, 1.0 / n)
         for _ in range(50_000):
             nxt = A @ v
-            norm = np.linalg.norm(nxt)
-            if norm == 0:
-                raise PreconditionError("dominant eigenvector iteration collapsed")
-            nxt /= norm
+            nxt /= np.linalg.norm(nxt)
             if np.linalg.norm(nxt - v) < 1e-14:
                 break
             v = nxt
@@ -106,7 +110,7 @@ def _decompose(M, primitive):
         rho = 0.0
     else:
         rho = float(moduli[1]) if len(moduli) > 1 else 0.0
-    v = _dominant_right(M, decomp)
+    v = _dominant_right(M, decomp, primitive)
     if primitive:
         P = orthogonal_projector(v)
         rho_deflated = float(np.max(np.abs(np.linalg.eigvals(P @ M))))
@@ -125,7 +129,9 @@ def ess_spectral_radius(A):
     """Second-largest eigenvalue modulus (zero when the spectrum is all ones).
 
     For primitive input the value is cross-checked against the spectral
-    radius of P_v A, v the dominant right eigenvector.
+    radius of P_v A, v the dominant right eigenvector.  `dominant_v` is None
+    for a matrix that is not primitive and has no real dominant eigenvector
+    in an accepted eigenbasis (rotations, defective or nilpotent matrices).
     """
     return _decompose(*_unwrap(A))[0]
 

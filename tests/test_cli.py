@@ -142,12 +142,13 @@ def test_rho_ess_non_positive_eps_skips_certificate(tmp_path, capsys):
 
 
 def test_rho_ess_non_primitive_still_reports(tmp_path, capsys):
-    p = tmp_path / "eye.csv"
-    p.write_text("1.0,0.0\n0.0,1.0\n")
-    code, report = run_cli(capsys, "rho-ess", str(p))
-    assert code == 0
-    assert report["result"]["rho_ess"] == 0.0
-    assert report["result"]["certificate"] is None
+    for name, text in (("eye.csv", "1.0,0.0\n0.0,1.0\n"), ("nilpotent.csv", "0.0,1.0\n0.0,0.0\n")):
+        p = tmp_path / name
+        p.write_text(text)
+        code, report = run_cli(capsys, "rho-ess", str(p))
+        assert code == 0
+        assert report["result"]["rho_ess"] == 0.0
+        assert report["result"]["certificate"] is None
 
 
 def test_rho_ess_rotating_chain_skips_certificate(tmp_path, capsys):

@@ -261,17 +261,20 @@ def test_pair_blocks_tile_the_pair_loop():
 
 def test_blocked_pair_kernels_match_per_row_loop():
     # bit for bit: one block, several blocks and one row per block, with
-    # rectangular and Fortran-ordered input and anchors that reach den == 0
+    # rectangular and Fortran-ordered input, anchors that reach den == 0 and
+    # +-1 anchors of one and of mixed signs
     local = np.random.default_rng(19)
     for m in (2, 3, 17, 41, 64, 130):
         for n in (1, 5, 40, 300):
             zeroed = local.standard_normal(m)
             zeroed[local.random(m) < 0.5] = 0.0
             small = local.integers(-2, 3, m).astype(float)
+            signs = local.permutation(np.resize([1.0, -1.0], m))
             for v, A in ((np.ones(m), local.uniform(0.0, 1.0, (m, n))),
                          (zeroed, local.uniform(-1.0, 1.0, (m, n))),
                          (small, local.integers(-2, 3, (m, n)).astype(float)),
-                         (local.standard_normal(m), local.standard_normal((m, n)))):
+                         (local.standard_normal(m), local.standard_normal((m, n))),
+                         (signs, local.standard_normal((m, n)))):
                 expected = repr(_per_row_tau1(v, A))
                 assert repr(_tau_l1(v, A)) == expected
                 assert repr(_tau_l1(v, np.asfortranarray(A))) == expected

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -409,6 +411,25 @@ def test_incidence_inf_is_tau1_on_invariant_non_chains(n):
     assert value == tau(np.ones(n), A, 1).value
     if n <= 5:
         assert value == pytest.approx(oracle_weighted_seminorm(A, W, INF).value, rel=1e-12)
+
+
+def test_incidence_closed_forms_build_no_incidence_matrix():
+    # C_n^T holds 8 n^2 (n - 1) bytes, 215 MB at n = 300; p = inf is
+    # tau_1(1, A) and p = 2 the agreement weight, and neither reads it
+    n = 300
+    M = np.random.default_rng(300).uniform(0.0, 1.0, (n, n))
+    A = StochasticMatrix(M / M.sum(axis=1, keepdims=True)).matrix
+    tracemalloc.start()
+    try:
+        W = SeminormWeight.incidence(n)
+        sup = induced_seminorm(A, W, INF)
+        induced_seminorm(A, W, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert "matrix" not in vars(W)
+    assert repr(sup) == repr(tau(np.ones(n), A, 1).value)
 
 
 def test_dobrushin_reports_its_overlap_form():

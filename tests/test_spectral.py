@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,6 +31,20 @@ def test_rho_ess_report_fields():
     assert r.eigen_moduli == sorted(r.eigen_moduli, reverse=True)
     assert r.rho_ess <= r.eigen_moduli[0] + 1e-12
     assert np.allclose(np.abs(r.dominant_v), np.ones(2) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("A, rho", [([[0.0, -1.0], [1.0, 0.0]], 1.0),
+                                    ([[1.0, 1.0], [0.0, 1.0]], 0.0),
+                                    ([[0.0, 1.0], [0.0, 0.0]], 0.0)])
+def test_rho_ess_without_real_dominant_vector_is_immediate(A, rho):
+    # a rotation, a Jordan block and a nilpotent matrix are not primitive,
+    # and power iteration converges for none of them: no dominant vector
+    # rather than 50,000 steps of it
+    start = time.perf_counter()
+    r = ess_spectral_radius(np.array(A))
+    assert time.perf_counter() - start < 0.05
+    assert r.rho_ess == rho
+    assert r.dominant_v is None
 
 
 def test_optimal_weight_frozen():
