@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .linalg import StochasticMatrix, as_vector, dominant_pair
-from .seminorm import SeminormWeight, induced_seminorm, vector_seminorm
+from .linalg import StochasticMatrix, as_pnorm, as_vector, dominant_pair
+from .seminorm import SeminormWeight, _reduced_seminorms, induced_seminorm, vector_seminorm
 
 BOUND_SLACK = 1e-10
 
@@ -45,18 +45,21 @@ def certify_averaging(matrices, p):
     """Contraction certificate in the agreement-weighted l_p seminorm.
 
     per_step[k] is the exact seminorm of A(k) restricted to the disagreement
-    subspace; the max is a sup over the finite family.
+    subspace; the max is a sup over the finite family.  After `as_sequence`
+    has validated every step, the whole sequence is evaluated in one call
+    that stacks it chunk by chunk, and each value has the bits of its own
+    `induced_seminorm` call.
     """
     seq = as_sequence(matrices)
     n = seq[0].n
     weight = SeminormWeight.agreement(n)
-    per_step = [induced_seminorm(m.matrix, weight, p) for m in seq]
+    per_step = _reduced_seminorms([m.matrix for m in seq], weight, as_pnorm(p)).tolist()
     rate = max(per_step)
     return Certificate(
-        rate=float(rate),
+        rate=rate,
         p=p,
         weight=weight,
-        per_step=[float(s) for s in per_step],
+        per_step=per_step,
         contracting=bool(rate < 1.0),
         theorem_route="agreement-seminorm submultiplicativity",
     )

@@ -5,10 +5,11 @@ Exact closed forms for p in {1, 2, inf}:
   p = 1    the feasible polytope (cross-polytope cut by the hyperplane) has
            vertices supported on two coordinates, giving
            tau_1 = max_{i<j} ||v_j A_i - v_i A_j||_1 / (|v_i| + |v_j|)
-           over rows A_i of A.  The pairs are taken in blocks of rows, each
-           block against every later row in one broadcast of at most
-           BLOCK_ENTRIES entries; the Dobrushin overlap form walks the same
-           blocks.  An anchor of +-1 entries (the all-ones anchor among
+           over rows A_i of A.  The pairs are taken in (matrix, row) blocks
+           of a stack of matrices: rows of one or more matrices, each row
+           against every later row of its matrix in one broadcast of at
+           most BLOCK_ENTRIES entries; the Dobrushin overlap form walks the
+           same blocks.  An anchor of +-1 entries (the all-ones anchor among
            them) needs no products: with H = v[:, None] * A each pair term
            is ||H_i - H_j||_1 / 2, with the same bits.
   p = inf  column-wise LP: tau_inf = max_k min_mu ||A_{.k} - mu v||_1.  Each
@@ -20,6 +21,10 @@ Exact closed forms for p in {1, 2, inf}:
            the duality tau_inf = Psi_1 holds by construction.
   p = 2    restriction to a subspace is exact in the Euclidean norm:
            tau_2 = ||P_v A||_2, the largest singular value.
+
+Each kernel takes a stack As of K matrices (K, m, n) sharing one anchor and
+returns K values, so a time-varying sequence or a run of matrix powers is
+one call; `tau` is the stack of one, with the same bits for each matrix.
 
 The widely quoted projector formula ||P_v A||_q (q conjugate to p) is only an
 upper bound for p != 2; the `verify` suites measure its gap against these
@@ -39,6 +44,7 @@ from .linalg import (INF, StochasticMatrix, as_matrix, as_pnorm, as_vector,
 DOBRUSHIN_CROSS_TOL = 1e-12
 #: entries in one broadcast temporary of a batched kernel (64 KiB of float64)
 BLOCK_ENTRIES = 1 << 13
+_ROUTES = {1: "pairwise-form", 2: "projector-form", INF: "column-form"}
 
 
 @dataclass
@@ -56,92 +62,145 @@ class ErgodicityResult:
     overlap: float | None = None
 
 
-def _pair_blocks(m, n):
-    """Row blocks of the pair loop over i < j < m, for an m x n matrix.
+def _pair_blocks(K, m, n):
+    """(matrix, row) blocks of the pair loop over i < j < m, for a stack of K
+    m x n matrices.
 
-    Yields (i0, i1, later): rows [i0, i1) meet every later row [i0 + 1, m)
-    in one broadcast (i1 - i0, m - i0 - 1, n) operation of at most
-    BLOCK_ENTRIES entries, or of one row where a single row exceeds that,
-    and later[r, c] marks the pairs i = i0 + r < j = i0 + 1 + c.
+    Yields (ks, i0, i1, later): rows [i0, i1) of the matrices ks (a slice)
+    meet every later row [i0 + 1, m) of the same matrix in one broadcast
+    (len(ks), i1 - i0, m - i0 - 1, n) operation of at most BLOCK_ENTRIES
+    entries, or of one row of one matrix where that row alone exceeds it,
+    and later[r, c] marks the pairs i = i0 + r < j = i0 + 1 + c.  The row
+    blocks are those of a single matrix; a block that leaves room in the
+    budget takes that many matrices at once.
     """
     i0 = 0
     while i0 < m - 1:
         rest = m - i0 - 1
         i1 = min(m - 1, i0 + max(1, BLOCK_ENTRIES // max(1, rest * n)))
-        yield i0, i1, np.arange(rest) >= np.arange(i1 - i0)[:, None]
+        later = np.arange(rest) >= np.arange(i1 - i0)[:, None]
+        step = max(1, BLOCK_ENTRIES // max(1, (i1 - i0) * rest * n))
+        for k0 in range(0, K, step):
+            yield slice(k0, k0 + step), i0, i1, later
         i0 = i1
 
 
-def _tau_l1(v, A):
+def _tau_l1(v, As):
     # row-major storage makes every row sum, down to the last bit,
     # independent of how the caller laid A out
-    A = np.ascontiguousarray(A)
+    As = np.ascontiguousarray(As)
     absv = np.abs(v)
     if np.all(absv == 1.0):
-        return _tau_l1_unit(v, A)
-    rownorm1 = np.sum(np.abs(A), axis=1)
-    best = 0.0
-    for i0, i1, later in _pair_blocks(*A.shape):
+        return _tau_l1_unit(v, As)
+    rownorm1 = np.sum(np.abs(As), axis=2)
+    best = np.zeros(len(As))
+    for ks, i0, i1, later in _pair_blocks(*As.shape):
         rows, after = slice(i0, i1), slice(i0 + 1, None)
         den = absv[rows, None] + absv[after]
-        diff = v[after, None] * A[rows, None, :]
-        diff -= v[rows, None, None] * A[after]
-        dist = np.sum(np.abs(diff, out=diff), axis=2)
+        diff = v[after, None] * As[ks, rows, None, :]
+        diff -= v[rows, None, None] * As[ks, None, after]
+        dist = np.add.reduce(np.abs(diff, out=diff), axis=3)
         # den == 0: both coordinates unconstrained, the slice contains +-e_i, +-e_j
-        vals = np.divide(dist, den, out=np.maximum(rownorm1[rows, None], rownorm1[after]),
+        vals = np.divide(dist, den, out=np.maximum(rownorm1[ks, rows, None],
+                                                   rownorm1[ks, None, after]),
                          where=den != 0.0)
-        best = max(best, float(np.max(vals, where=later, initial=0.0)))
+        best[ks] = np.maximum(best[ks], vals.max(axis=(1, 2), where=later, initial=0.0))
     return best
 
 
-def _tau_l1_unit(v, A):
+def _tau_l1_unit(v, As):
     """`_tau_l1` for an anchor of +-1 entries, bit for bit.
 
     With H = v[:, None] * A (exact), v_j A_i - v_i A_j = v_i v_j (H_i - H_j)
     and round-to-nearest is symmetric in sign, so each pair's distance is
     ||H_i - H_j||_1 with the same bits, and the denominator is exactly 2.
     """
-    H = v[:, None] * A
-    best = 0.0
-    for i0, i1, later in _pair_blocks(*H.shape):
-        diff = H[i0:i1, None, :] - H[i0 + 1:]
-        dist = np.sum(np.abs(diff, out=diff), axis=2)
-        best = max(best, float(np.max(dist, where=later, initial=0.0)))
+    Hs = v[:, None] * As
+    best = np.zeros(len(Hs))
+    for ks, i0, i1, _ in _pair_blocks(*Hs.shape):
+        after = Hs[ks, None, i0 + 1:]
+        # a broadcast copy and an in-place difference are faster than one
+        # broadcast difference, with the same bits
+        diff = np.empty((len(after), i1 - i0) + after.shape[2:])
+        diff[...] = Hs[ks, i0:i1, None, :]
+        diff -= after
+        dist = np.add.reduce(np.abs(diff, out=diff), axis=3)
+        # no mask: the entries with j <= i are 0 (j = i) or, bit for bit,
+        # the distance of the pair (j, i), which a block takes anyway
+        best[ks] = np.maximum(best[ks], dist.max(axis=(1, 2)))
     # halving is monotone, so it commutes with the maximum
     return best / 2.0
 
 
-def _column_medians(v, A):
-    """min_mu ||A_{.k} - mu v||_1 and a minimizing mu, for every column k.
+def _stack_chunks(K, m, n):
+    """Slices of a stack of K m x n matrices, each of at most BLOCK_ENTRIES
+    entries, or of one matrix where a single matrix exceeds that."""
+    step = max(1, BLOCK_ENTRIES // max(1, m * n))
+    return [slice(k0, k0 + step) for k0 in range(0, K, step)]
+
+
+def _column_medians(v, As):
+    """min_mu ||A_{.k} - mu v||_1 and a minimizing mu, for every column k of
+    every matrix A of the stack As; both (K, n).
 
     The objective is convex and piecewise linear in mu, with a kink at
     A_ik / v_i of weight |v_i| for each row with v_i != 0, so a weighted
-    median of the kinks minimizes it.  Kinks are stable-sorted per column
-    and the weights accumulated; the objective is evaluated at the lower and
-    the upper weighted median (they differ only where the minimum is flat)
-    and the smaller value is kept.  With v = 0 there are no kinks and every
-    mu is a minimizer; mu = 0 is returned.
+    median of the kinks minimizes it.  The columns of all the matrices are
+    rows of one table for `_row_medians`, taken in the chunks of
+    `_stack_chunks`, so each temporary stays within the pair kernel's budget.
+    """
+    K, m, n = As.shape
+    tables = (np.ascontiguousarray(As[ks].transpose(0, 2, 1)).reshape(-1, m)
+              for ks in _stack_chunks(K, m, n))
+    values, mus = zip(*(_row_medians(v, X) for X in tables))
+    return np.concatenate(values).reshape(K, n), np.concatenate(mus).reshape(K, n)
+
+
+def _row_medians(v, X):
+    """min_mu ||x - mu v||_1 and a minimizing mu, for every row x of X.
+
+    Kinks are stable-sorted per row and the weights accumulated; the
+    objective is evaluated at the lower and the upper weighted median (they
+    differ only where the minimum is flat) and the smaller value is kept.
+    With v = 0 there are no kinks and every mu is a minimizer; mu = 0 is
+    returned.
     """
     mask = v != 0.0
-    At = np.ascontiguousarray(A.T)  # contiguous rows, as in _tau_l1
     if not mask.any():
-        return np.sum(np.abs(At), axis=1), np.zeros(At.shape[0])
-    kinks = At[:, mask] / v[mask]
+        return np.sum(np.abs(X), axis=1), np.zeros(len(X))
+    kinks = X[:, mask] / v[mask]
     order = np.argsort(kinks, axis=1, kind="stable")
     kinks = np.take_along_axis(kinks, order, axis=1)
     cum = np.cumsum(np.abs(v[mask])[order], axis=1)
     half = 0.5 * cum[:, -1:]
-    cols = np.arange(At.shape[0])
-    mus = np.stack([kinks[cols, np.argmax(cum >= half, axis=1)],
-                    kinks[cols, np.argmax(cum > half, axis=1)]])
-    vals = np.sum(np.abs(At - mus[:, :, None] * v), axis=2)
-    upper = vals[1] < vals[0]
-    return np.where(upper, vals[1], vals[0]), np.where(upper, mus[1], mus[0])
+    rows = np.arange(len(X))
+    lower = kinks[rows, np.argmax(cum >= half, axis=1)]
+    upper = kinks[rows, np.argmax(cum > half, axis=1)]
+    val_lower = np.sum(np.abs(X - lower[:, None] * v), axis=1)
+    val_upper = np.sum(np.abs(X - upper[:, None] * v), axis=1)
+    up = val_upper < val_lower
+    return np.where(up, val_upper, val_lower), np.where(up, upper, lower)
 
 
-def _tau_l2(v, A):
+def _tau_l2(v, As):
     P = orthogonal_projector(v)
-    return float(np.linalg.norm(P @ A, 2))
+    return np.concatenate([np.linalg.norm(P @ As[ks], 2, axis=(1, 2))
+                           for ks in _stack_chunks(*As.shape)])
+
+
+def _tau_values(v, As, p):
+    """tau_p(v, A) for every matrix A of the stack As (K, m, n), all sharing
+    the anchor v, by one kernel call; p is already normalized.
+
+    Each value is bit-identical to its own `tau` call (a stack of one): every
+    sum runs along a contiguous last axis of the same length, and every
+    maximum is exact.
+    """
+    if p == 1:
+        return _tau_l1(v, As)
+    if p == INF:
+        return _column_medians(v, As)[0].max(axis=1, initial=0.0)
+    return _tau_l2(v, As)
 
 
 def _anchored(v, A):
@@ -163,12 +222,8 @@ def tau(v, A, p):
     """
     v, A = _anchored(v, A)
     p = as_pnorm(p)
-    if p == 1:
-        return ErgodicityResult(_tau_l1(v, A), 1, "pairwise-form", v)
-    if p == INF:
-        values, _ = _column_medians(v, A)
-        return ErgodicityResult(float(np.max(values, initial=0.0)), INF, "column-form", v)
-    return ErgodicityResult(_tau_l2(v, A), 2, "projector-form", v)
+    value = float(_tau_values(v, A[None], p)[0])
+    return ErgodicityResult(value, p, _ROUTES[p], v)
 
 
 def _overlap_form(M):
@@ -178,7 +233,7 @@ def _overlap_form(M):
     if M.shape[0] < 2:
         return 0.0
     least = np.inf
-    for i0, i1, later in _pair_blocks(*M.shape):
+    for _, i0, i1, later in _pair_blocks(1, *M.shape):
         shared = np.sum(np.minimum(M[i0:i1, None, :], M[i0 + 1:]), axis=2)
         least = min(least, float(np.min(shared, where=later, initial=np.inf)))
     return 1.0 - least
@@ -196,7 +251,7 @@ def dobrushin(A):
     A = StochasticMatrix.of(A)
     M = np.ascontiguousarray(A.matrix)
     n = A.n
-    value_half = _tau_l1(np.ones(n), M)
+    value_half = float(_tau_l1(np.ones(n), M[None])[0])
     value_min = _overlap_form(M)
     if abs(value_half - value_min) > DOBRUSHIN_CROSS_TOL:
         raise CrossCheckError(

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import StochasticMatrix, as_distribution, dominant_pair
-from .ergodicity import BLOCK_ENTRIES, _column_medians
+from .linalg import INF, StochasticMatrix, as_distribution, dominant_pair
+from .ergodicity import BLOCK_ENTRIES, _tau_values
 
 MIXING_CAP = 10 ** 6
 DRIFT_TOL = 1e-12
@@ -51,17 +51,6 @@ def distance_to_stationarity(A, k):
     return _worst_row_tv(Ak, pi)
 
 
-def _tau_inf_of_powers(pi, powers):
-    """tau_inf(pi, (A^k)^T) for each power A^k in `powers`, by one weighted-median
-    pass over all their rows.
-
-    The anchor is shared and the columns of each (A^k)^T are solved
-    independently, so every value is bit-identical to its own `tau` call.
-    """
-    values, _ = _column_medians(pi, np.vstack(powers).T)
-    return np.max(values.reshape(len(powers), -1), axis=1, initial=0.0)
-
-
 @dataclass
 class MixingReport:
     """Mixing time with the full distance trace.
@@ -85,8 +74,8 @@ def mixing_time(A, epsilon, cap=MIXING_CAP):
     within the cap raise.  identity_residual is computed per chunk of
     steps: the powers A^k are buffered, at most BLOCK_ENTRIES entries of
     them (one power where a single power exceeds that), and their
-    coefficients are taken in one weighted-median pass when the chunk fills
-    and at t_mix.
+    coefficients are taken as one stack by the weighted-median kernel when
+    the chunk fills and at t_mix.
     """
     A = StochasticMatrix.of(A, "mixing time")
     if not (0.0 < epsilon < 1.0):
@@ -109,7 +98,8 @@ def mixing_time(A, epsilon, cap=MIXING_CAP):
         prev = d
         if d <= epsilon or len(powers) == chunk:
             dists = np.array([dk for _, dk in trace[-len(powers):]])
-            coeffs = _tau_inf_of_powers(pi, powers)
+            # tau_inf(pi, (A^k)^T) of the whole chunk in one stacked call
+            coeffs = _tau_values(pi, np.stack(powers).transpose(0, 2, 1), INF)
             residual = max(residual, float(np.max(np.abs(dists - 0.5 * coeffs))))
             powers = []
         if d <= epsilon:

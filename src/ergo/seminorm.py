@@ -9,7 +9,7 @@ computed exactly.  When ker R is A-invariant, every weight but the incidence
 one reduces to a p-ball inside a hyperplane, that is to one call of the exact
 tau engine in `ergodicity` (the R = S Q reduction of `induced_seminorm`); the
 incidence weight is the agreement weight at p = 2 and tau_1(1, A) at p = inf,
-and neither reads its n(n-1) x n matrix.
+and neither these nor its vector seminorms read its n(n-1) x n matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import CrossCheckError, PreconditionError
 from .linalg import (INF, as_matrix, as_pnorm, as_vector, agreement_projector,
                      induced_pnorm, oblique_projector, orthogonal_projector,
                      _incidence_rows)
-from .ergodicity import _anchored, _column_medians, tau
+from .ergodicity import _anchored, _column_medians, _stack_chunks, _tau_values, tau
 
 FACTOR_COND_LIMIT = 1e12
 KERNEL_INVARIANCE_TOL = 1e-8
@@ -40,7 +40,7 @@ class SeminormWeight:
     `matrix` is R.  Every kind but the incidence one stores its n x n R when
     it is built.  The incidence weight's R = C_n^T has n(n-1) rows (8 n^3
     bytes) and its closed forms never read it, so it is built on the first
-    read of `matrix` (by the brute-force oracle or `vector_seminorm`) and kept.
+    read of `matrix` (by the brute-force oracle) and kept.
     """
 
     def __init__(self, kind, matrix, kernel, s_factor=None, anchor=None):
@@ -97,11 +97,26 @@ class SeminormWeight:
 
 
 def vector_seminorm(x, weight, p):
-    """||R x||_p."""
+    """||R x||_p.
+
+    The incidence weight never reads its n(n-1) x n matrix: ||C^T x||_p over
+    the ordered pairs is max(x) - min(x) at p = inf (rounding is monotone,
+    so these are the bits of the largest |x_i - x_j|), sqrt(2n) ||x -
+    mean(x)||_2 at p = 2, and at p = 1 twice the sum of the sorted gaps
+    x_(k+1) - x_(k), each crossed by k (n - k) unordered pairs.
+    """
     x = as_vector(x)
     p = as_pnorm(p)
-    if len(x) != weight.n:
-        raise PreconditionError(f"vector length {len(x)} does not match weight on R^{weight.n}")
+    n = weight.n
+    if len(x) != n:
+        raise PreconditionError(f"vector length {len(x)} does not match weight on R^{n}")
+    if weight.kind == "incidence":
+        if p == INF:
+            return float(x.max() - x.min())
+        if p == 2:
+            return float(np.sqrt(2.0 * n) * np.linalg.norm(x - np.mean(x)))
+        k = np.arange(1, n)
+        return float(2.0 * np.sum(k * (n - k) * np.diff(np.sort(x))))
     y = weight.matrix @ x
     if p == 1:
         return float(np.sum(np.abs(y)))
@@ -110,12 +125,68 @@ def vector_seminorm(x, weight, p):
     return float(np.linalg.norm(y))
 
 
+def _kernel_residuals(As, kernel):
+    """Relative residual of ker R = <kernel> under each matrix of the stack As
+    (K, n, n), via the Rayleigh eigenvalue estimate.
+
+    Each inner product runs as a dot product of its own, so a stack of one
+    has the bits of the plain single-matrix formula."""
+    kk = float(kernel @ kernel)
+    Ak = As @ kernel
+    lam = (Ak[:, None, :] @ kernel)[:, 0] / kk
+    r = Ak - lam[:, None] * kernel
+    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0]) / np.sqrt(kk)
+
+
 def kernel_invariance_residual(A, weight):
     """Relative residual of ker R under A, via the Rayleigh eigenvalue estimate."""
-    k = weight.kernel
-    Ak = A @ k
-    lam = float(k @ Ak) / float(k @ k)
-    return float(np.linalg.norm(Ak - lam * k) / np.linalg.norm(k))
+    return float(_kernel_residuals(A[None], weight.kernel)[0])
+
+
+def _reduced_seminorms(As, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
+    """|||A_k|||_{p,R} for every A_k of As, a (K, n, n) array or a list of
+    n x n arrays, and a weight of any kind but the incidence one; p is
+    already normalized.  Returns K values.
+
+    The R = S Q reduction of `induced_seminorm`, run for a stack: S^-T anchor
+    and S^-1 are formed once, and the matrices are taken in the chunks of
+    `ergodicity._stack_chunks` (at most BLOCK_ENTRIES entries, or one
+    matrix), each chunk stacked, reduced and passed to one tau kernel call,
+    so a long sequence is never stacked whole.  Each A_k has its own
+    kernel-invariance test; one that fails it gets the value off the closed
+    forms (brute force up to n <= 5, refused above).
+    """
+    u, R, S_inv = weight.anchor, weight.matrix, None
+    if weight.s_factor is not None:
+        u, S_inv = scipy.linalg.solve(weight.s_factor.T, u), scipy.linalg.inv(weight.s_factor)
+    values = []
+    for ks in _stack_chunks(len(As), weight.n, weight.n):
+        chunk = np.asarray(As[ks])
+        outside = np.flatnonzero(_kernel_residuals(chunk, weight.kernel) > invariance_tol)
+        # refused above n = 5 before any kernel work, as a single matrix is
+        off = [_off_closed_forms(chunk[k], weight, p, invariant=False) for k in outside]
+        Bs = R @ chunk
+        if S_inv is not None:
+            Bs = Bs @ S_inv
+        values.append(_tau_values(u, Bs.transpose(0, 2, 1), p))
+        values[-1][outside] = off
+    return np.concatenate(values)
+
+
+def _off_closed_forms(A, weight, p, invariant):
+    """The value where no closed form applies: brute force up to n <= 5,
+    refused above."""
+    n = weight.n
+    if n <= ORACLE_DIMENSION_CAP:
+        from .oracle import oracle_weighted_seminorm
+        return oracle_weighted_seminorm(A, weight, p).value
+    if not invariant:
+        raise PreconditionError(
+            "weight kernel is not A-invariant; no closed form and the "
+            f"brute-force evaluator is capped at n <= {ORACLE_DIMENSION_CAP}")
+    raise PreconditionError(
+        f"incidence weight with p={p} has no closed form here and the "
+        f"brute-force evaluator is capped at n <= {ORACLE_DIMENSION_CAP}")
 
 
 def induced_seminorm(A, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
@@ -129,12 +200,13 @@ def induced_seminorm(A, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
 
         |||A|||_{p,R} = tau_p(S^-T anchor, (R A S^-1)^T)
 
-    for every p.  The incidence weight equals the agreement weight up to a
-    factor at p = 2.  At p = inf, ||C^T x||_inf <= 1 with x perp 1 lets x
-    range over y - mean(y) 1 with y in [0, 1]^n, so once A 1 = lambda 1 the
-    row pair (a, b) contributes sum_k (A_ak - A_bk)^+ = ||A_a - A_b||_1 / 2
-    and the value is tau_1(1, A), on every invariant matrix.  The remaining
-    cases (a kernel that is not A-invariant, or incidence p = 1) go to the
+    for every p; `_reduced_seminorms` evaluates it, here for a stack of one.
+    The incidence weight equals the agreement weight up to a factor at
+    p = 2.  At p = inf, ||C^T x||_inf <= 1 with x perp 1 lets x range over
+    y - mean(y) 1 with y in [0, 1]^n, so once A 1 = lambda 1 the row pair
+    (a, b) contributes sum_k (A_ak - A_bk)^+ = ||A_a - A_b||_1 / 2 and the
+    value is tau_1(1, A), on every invariant matrix.  The remaining cases (a
+    kernel that is not A-invariant, or incidence p = 1) go to the
     brute-force evaluator up to n <= 5; larger inputs are refused.
     """
     A = as_matrix(A)
@@ -145,29 +217,15 @@ def induced_seminorm(A, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
     if weight.kind not in ("orthogonal", "oblique", "agreement", "incidence", "factored"):
         raise PreconditionError(f"unknown weight kind {weight.kind!r}")
 
-    invariant = kernel_invariance_residual(A, weight) <= invariance_tol
-    if invariant and weight.kind == "incidence":
-        if p == 2:
-            # ||C^T x||_2 = sqrt(2n) ||Pi x||_2 makes the two weights identical
-            weight = SeminormWeight.agreement(n)
-        elif p == INF:
+    if weight.kind == "incidence":
+        invariant = kernel_invariance_residual(A, weight) <= invariance_tol
+        if not invariant or p == 1:
+            return _off_closed_forms(A, weight, p, invariant)
+        if p == INF:
             return tau(np.ones(n), A, 1).value
-    if invariant and weight.kind != "incidence":
-        u, B = weight.anchor, weight.matrix @ A
-        if weight.s_factor is not None:
-            u, B = scipy.linalg.solve(weight.s_factor.T, u), B @ scipy.linalg.inv(weight.s_factor)
-        return tau(u, B.T, p).value
-
-    if n <= ORACLE_DIMENSION_CAP:
-        from .oracle import oracle_weighted_seminorm
-        return oracle_weighted_seminorm(A, weight, p).value
-    if not invariant:
-        raise PreconditionError(
-            "weight kernel is not A-invariant; no closed form and the "
-            f"brute-force evaluator is capped at n <= {ORACLE_DIMENSION_CAP}")
-    raise PreconditionError(
-        f"incidence weight with p={p} has no closed form here and the "
-        f"brute-force evaluator is capped at n <= {ORACLE_DIMENSION_CAP}")
+        # ||C^T x||_2 = sqrt(2n) ||Pi x||_2 makes the two weights identical
+        weight = SeminormWeight.agreement(n)
+    return float(_reduced_seminorms(A[None], weight, p, invariance_tol)[0])
 
 
 @dataclass
@@ -248,7 +306,7 @@ def deflated_norm(v, A, q):
     if q == 1:
         # max-column-sum objective separates per column into the weighted
         # median problems behind tau_inf
-        values, c = _column_medians(v, A)
+        (values,), (c,) = _column_medians(v, A[None])
         value = float(np.max(values, initial=0.0))
         if value_proj <= value + 1e-12:
             c = c_proj
@@ -261,7 +319,7 @@ def deflated_norm(v, A, q):
         c, value = c_proj, value_proj
     # weak duality: sum_j min_mu sum_i lam_i |A_ij - mu v_i| / sum lam is a
     # lower bound on Psi_inf for every lam >= 0
-    values, _ = _column_medians(lam * v, lam[:, None] * A)
+    (values,), _ = _column_medians(lam * v, (lam[:, None] * A)[None])
     bound = float(np.sum(values)) / float(np.sum(lam))
     if value - bound > DUALITY_GAP_TOL * max(1.0, value):
         raise CrossCheckError(

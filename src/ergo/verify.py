@@ -12,11 +12,10 @@ import numpy as np
 
 from .errors import PreconditionError
 from .linalg import INF, StochasticMatrix, dominant_pair, orthogonal_projector, induced_pnorm
-from .ergodicity import dobrushin, tau, tau_oblique
+from .ergodicity import _tau_values, dobrushin, tau, tau_oblique
 from .seminorm import SeminormWeight, deflated_norm, induced_seminorm
 from .spectral import ess_spectral_radius, optimal_weight, symmetric_l2_identity
-from .markov import (_renormalize_rows, _tau_inf_of_powers, _worst_row_tv,
-                     distance_to_stationarity)
+from .markov import _renormalize_rows, _worst_row_tv, distance_to_stationarity
 from .oracle import oracle_tau, oracle_weighted_seminorm
 
 def _require_trials(trials):
@@ -246,7 +245,8 @@ def suite_mixing(trials=50, seed=0):
             dists.append(_worst_row_tv(renormalized, pi))
         powers.append(powers[-1] @ S.matrix)
         dists.append(distance_to_stationarity(S, 7))
-        for Ak, d, coeff in zip(powers, dists, _tau_inf_of_powers(pi, powers)):
+        coeffs = _tau_values(pi, np.stack(powers).transpose(0, 2, 1), INF)
+        for Ak, d, coeff in zip(powers, dists, coeffs):
             direct = 0.5 * float(np.max(np.sum(np.abs(Ak - np.outer(np.ones(n), pi)), axis=1)))
             g_def.append(abs(d - direct))
             m_coeff.append(d - 0.5 * float(coeff))

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ergo import (INF, PreconditionError, StochasticMatrix, certify_averaging,
+from ergo import (INF, PreconditionError, StochasticMatrix, as_sequence, certify_averaging,
                   certify_markov, dobrushin, induced_seminorm, SeminormWeight,
                   simulate_and_check, simulate_markov_and_check, tau,
                   vector_seminorm)
@@ -38,6 +40,43 @@ def test_certify_alternating_pair():
     s2 = induced_seminorm(np.array(B), SeminormWeight.agreement(2), INF)
     assert abs(cert.rate - max(s1, s2)) < 1e-14
     assert len(cert.per_step) == 2
+
+
+def _chain(local, n, sparse):
+    M = local.uniform(0.0, 1.0, (n, n)) ** 3
+    if sparse:
+        M[local.random((n, n)) < 0.7] = 0.0
+    M += 1e-3 * np.eye(n)
+    return M / M.sum(axis=1, keepdims=True)
+
+
+def test_certify_matches_per_step_seminorms_bit_for_bit():
+    local = np.random.default_rng(43)
+    for n in (2, 3, 8, 40):
+        W = SeminormWeight.agreement(n)
+        for K in (1, 2, 7, 33):
+            for sparse in (False, True):
+                seq = [StochasticMatrix(_chain(local, n, sparse)) for _ in range(K)]
+                for p in (1, 2, INF):
+                    cert = certify_averaging(seq, p)
+                    expected = [induced_seminorm(S.matrix, W, p) for S in seq]
+                    assert [repr(s) for s in cert.per_step] == [repr(s) for s in expected]
+                    assert repr(cert.rate) == repr(max(expected))
+
+
+def test_certify_long_sequence_memory_bounded_by_chunk():
+    # the 2000 steps at n = 20 hold 6.4 MB; the certificate stacks a chunk at a time
+    local = np.random.default_rng(47)
+    seq = as_sequence([_chain(local, 20, False) for _ in range(2000)])
+    for p in (1, 2, INF):
+        tracemalloc.start()
+        try:
+            cert = certify_averaging(seq, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cert.per_step) == 2000
+        assert peak < 2 * 2 ** 20, p
 
 
 def test_certify_rejects_bad_sequences():

@@ -4,7 +4,8 @@ import pytest
 from ergo import (INF, CrossCheckError, PreconditionError, StochasticMatrix,
                   deflated_norm, dobrushin, dominant_pair, induced_pnorm,
                   oracle_tau, tau, tau_oblique)
-from ergo.ergodicity import BLOCK_ENTRIES, _overlap_form, _pair_blocks, _tau_l1
+from ergo.ergodicity import (BLOCK_ENTRIES, _column_medians, _overlap_form, _pair_blocks,
+                             _tau_l1, _tau_values)
 
 rng = np.random.default_rng(7)
 
@@ -242,21 +243,43 @@ def _per_row_overlap(M):
 
 def test_pair_blocks_tile_the_pair_loop():
     regimes = set()
-    for m in (1, 2, 3, 17, 41, 64, 130):
-        for n in (0, 1, 5, 40, 300):
-            blocks = list(_pair_blocks(m, n))
-            starts = [0] + [i1 for _, i1, _ in blocks]
-            assert [i0 for i0, _, _ in blocks] == starts[:-1]
-            assert starts[-1] == max(m - 1, 0)
-            for i0, i1, later in blocks:
-                rest = m - i0 - 1
-                assert i1 - i0 == 1 or (i1 - i0) * rest * n <= BLOCK_ENTRIES
-                pairs = {(i0 + r, i0 + 1 + c) for r, c in zip(*np.nonzero(later))}
-                assert pairs == {(i, j) for i in range(i0, i1) for j in range(i + 1, m)}
-                if 2 * rest * n > BLOCK_ENTRIES:
-                    regimes.add("one row")
-            regimes.add("one block" if len(blocks) == 1 else "several blocks")
-    assert regimes == {"one block", "several blocks", "one row"}
+    for K in (1, 2, 7, 33):
+        for m in (1, 2, 3, 17, 41, 64, 130):
+            for n in (0, 1, 5, 40, 300):
+                stacked = list(_pair_blocks(K, m, n))
+                # every (matrix, i < j) pair exactly once, within the budget
+                counts = np.zeros((K, m, m), dtype=int)
+                blocks_of = [[] for _ in range(K)]
+                for ks, i0, i1, later in stacked:
+                    mats = range(K)[ks]
+                    rest = m - i0 - 1
+                    assert len(mats) >= 1
+                    assert ((len(mats) == 1 and i1 - i0 == 1)
+                            or len(mats) * (i1 - i0) * rest * n <= BLOCK_ENTRIES)
+                    counts[ks, i0:i1, i0 + 1:] += later
+                    for k in mats:
+                        blocks_of[k].append((i0, i1, later))
+                assert (counts == np.triu(np.ones((m, m), dtype=int), 1)).all()
+                if len(stacked) < sum(map(len, blocks_of)):
+                    regimes.add("several matrices")
+                # each matrix's row blocks tile its pair loop
+                checked = set()
+                for blocks in blocks_of:
+                    starts = [0] + [i1 for _, i1, _ in blocks]
+                    assert [i0 for i0, _, _ in blocks] == starts[:-1]
+                    assert starts[-1] == max(m - 1, 0)
+                    for i0, i1, later in blocks:
+                        if (i0, i1) in checked:
+                            continue
+                        checked.add((i0, i1))
+                        rest = m - i0 - 1
+                        assert i1 - i0 == 1 or (i1 - i0) * rest * n <= BLOCK_ENTRIES
+                        pairs = {(i0 + r, i0 + 1 + c) for r, c in zip(*np.nonzero(later))}
+                        assert pairs == {(i, j) for i in range(i0, i1) for j in range(i + 1, m)}
+                        if 2 * rest * n > BLOCK_ENTRIES:
+                            regimes.add("one row")
+                    regimes.add("one block" if len(blocks) == 1 else "several blocks")
+    assert regimes == {"one block", "several blocks", "one row", "several matrices"}
 
 
 def test_blocked_pair_kernels_match_per_row_loop():
@@ -276,8 +299,8 @@ def test_blocked_pair_kernels_match_per_row_loop():
                          (local.standard_normal(m), local.standard_normal((m, n))),
                          (signs, local.standard_normal((m, n)))):
                 expected = repr(_per_row_tau1(v, A))
-                assert repr(_tau_l1(v, A)) == expected
-                assert repr(_tau_l1(v, np.asfortranarray(A))) == expected
+                assert repr(float(_tau_l1(v, A[None])[0])) == expected
+                assert repr(float(_tau_l1(v, np.asfortranarray(A)[None])[0])) == expected
             M = local.uniform(0.0, 1.0, (m, n)) ** 3
             M[local.random((m, n)) < 0.4] = 0.0
             M += 1e-3
@@ -286,3 +309,27 @@ def test_blocked_pair_kernels_match_per_row_loop():
             expected = repr(_per_row_overlap(M))
             assert repr(_overlap_form(M)) == expected
             assert repr(_overlap_form(np.asfortranarray(M))) == expected
+
+
+def test_stacked_kernels_match_stacks_of_one():
+    # bit for bit, every kernel on a stack against each matrix alone, across
+    # one and several matrices per block or chunk and matrices beyond the budget
+    local = np.random.default_rng(23)
+    for m, n in ((1, 4), (3, 3), (17, 5), (40, 40), (64, 9), (130, 300)):
+        zeroed = local.standard_normal(m)
+        zeroed[local.random(m) < 0.5] = 0.0
+        zeroed[0] = 1.0
+        anchors = (np.ones(m), local.permutation(np.resize([1.0, -1.0], m)), zeroed,
+                   local.standard_normal(m))
+        for K in (2, 7):
+            As = local.standard_normal((K, m, n))
+            As[local.random((K, m, n)) < 0.3] = 0.0
+            for v in anchors:
+                for p in (1, 2, INF):
+                    stacked = _tau_values(v, As, p)
+                    assert [repr(float(x)) for x in stacked] == [repr(tau(v, A, p).value) for A in As]
+                values, mus = _column_medians(v, As)
+                for k in range(K):
+                    alone = _column_medians(v, As[k][None])
+                    assert values[k].tobytes() == alone[0][0].tobytes()
+                    assert mus[k].tobytes() == alone[1][0].tobytes()

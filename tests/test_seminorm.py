@@ -51,6 +51,29 @@ def test_vector_seminorm_examples():
     assert abs(vector_seminorm([1.0, 0.0], SeminormWeight.incidence(2), INF) - 1.0) < 1e-14
 
 
+def test_incidence_vector_seminorm_never_builds_the_matrix():
+    # C_300^T alone is 215 MB; the closed forms need O(n) memory
+    x = np.random.default_rng(3).standard_normal(300)
+    W = SeminormWeight.incidence(300)
+    for p in (1, 2, INF):
+        tracemalloc.start()
+        try:
+            vector_seminorm(x, W, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, p
+    assert "matrix" not in W.__dict__
+    local = np.random.default_rng(5)
+    for n in range(2, 41):
+        for x in (local.standard_normal(n), local.integers(-2, 3, n).astype(float)):
+            values = {p: vector_seminorm(x, SeminormWeight.incidence(n), p) for p in (1, 2, INF)}
+            y = SeminormWeight.incidence(n).matrix @ x
+            assert repr(values[INF]) == repr(float(np.max(np.abs(y))))
+            assert values[1] == pytest.approx(float(np.sum(np.abs(y))), rel=1e-12, abs=0.0)
+            assert values[2] == pytest.approx(float(np.linalg.norm(y)), rel=1e-12, abs=0.0)
+
+
 def test_induced_seminorm_frozen():
     n = 3
     Pi = agreement_projector(n)
