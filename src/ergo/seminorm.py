@@ -10,6 +10,12 @@ one reduces to a p-ball inside a hyperplane, that is to one call of the exact
 tau engine in `ergodicity` (the R = S Q reduction of `induced_seminorm`); the
 incidence weight is the agreement weight at p = 2 and tau_1(1, A) at p = inf,
 and neither these nor its vector seminorms read its n(n-1) x n matrix.
+
+Psi_q(v, A) = min_c ||A - v c^T||_q is a closed form at q = 2 and the
+weighted medians of `ergodicity._column_medians` at q = 1.  At q = inf it is
+an LP over convex combinations of each column's kinks, solved by column
+generation: the same medians, at the master's dual weights, price every
+column and certify the value by weak duality.
 """
 
 from __future__ import annotations
@@ -31,6 +37,11 @@ KERNEL_INVARIANCE_TOL = 1e-8
 ORACLE_DIMENSION_CAP = 5
 LP_TOL = 1e-10
 DUALITY_GAP_TOL = 1e-9
+#: master entries (m n kinks) up to which `_deflate_linf` starts from every kink
+MASTER_ALL_KINKS = 1 << 15
+#: how far below its convexity dual a column must price, in the units of the
+#: master's matrix scaled into [0.5, 1)
+PRICING_TOL = 1e-12
 
 
 class SeminormWeight:
@@ -154,7 +165,8 @@ def _reduced_seminorms(As, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
     matrix), each chunk stacked, reduced and passed to one tau kernel call,
     so a long sequence is never stacked whole.  Each A_k has its own
     kernel-invariance test; one that fails it gets the value off the closed
-    forms (brute force up to n <= 5, refused above).
+    forms (brute force up to n <= 5, refused above); invariance_tol None
+    skips the test, for a caller that has made it.
     """
     u, R, S_inv = weight.anchor, weight.matrix, None
     if weight.s_factor is not None:
@@ -162,7 +174,8 @@ def _reduced_seminorms(As, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
     values = []
     for ks in _stack_chunks(len(As), weight.n, weight.n):
         chunk = np.asarray(As[ks])
-        outside = np.flatnonzero(_kernel_residuals(chunk, weight.kernel) > invariance_tol)
+        outside = (np.flatnonzero(_kernel_residuals(chunk, weight.kernel) > invariance_tol)
+                   if invariance_tol is not None else [])
         # refused above n = 5 before any kernel work, as a single matrix is
         off = [_off_closed_forms(chunk[k], weight, p, invariant=False) for k in outside]
         Bs = R @ chunk
@@ -223,18 +236,24 @@ def induced_seminorm(A, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
             return _off_closed_forms(A, weight, p, invariant)
         if p == INF:
             return tau(np.ones(n), A, 1).value
-        # ||C^T x||_2 = sqrt(2n) ||Pi x||_2 makes the two weights identical
-        weight = SeminormWeight.agreement(n)
+        # ||C^T x||_2 = sqrt(2n) ||Pi x||_2 makes the two weights identical,
+        # and their common kernel has just been tested
+        weight, invariance_tol = SeminormWeight.agreement(n), None
     return float(_reduced_seminorms(A[None], weight, p, invariance_tol)[0])
 
 
 @dataclass
 class DeflationResult:
-    """Minimum induced q-norm over rank-one deflations A - v c^T."""
+    """Minimum induced q-norm over rank-one deflations A - v c^T.
+
+    `bound` is the weak-duality lower bound that certifies the value at
+    q = inf, and None at q in {1, 2}.
+    """
 
     value: float
     c_star: np.ndarray
     q: object
+    bound: float | None = None
 
 
 def _deflation_value(v, A, c, q):
@@ -242,46 +261,85 @@ def _deflation_value(v, A, c, q):
 
 
 def _deflate_linf(v, A):
-    """A minimizer c of max_i ||A_i - v_i c||_1, and the dual weights lam.
+    """A minimizer c of max_i ||A_i - v_i c||_1, and the weak-duality lower
+    bound on that minimum at the last dual weights.
 
-    Solved as the LP dual of that problem,
+    Column j of A - v c^T is convex and piecewise linear in c_j, with kinks
+    mu = A_kj / v_k over the rows with v_k != 0, so the minimum is the LP
+    over convex combinations of kinks,
 
-        max sum_ij A_ij y_ij  s.t.  sum_i v_i y_ij = 0 for every column j,
-                                    |y_ij| <= lam_i,  lam >= 0,  sum lam = 1,
+        min t  s.t.  sum_{(j, mu) in K} y_{j,mu} |A_ij - mu v_i| <= t  (rows i),
+                     sum_mu y_{j,mu} = 1  (columns j),  y >= 0,
 
-    with y_ij = 2 p_ij - lam_i and 0 <= p_ij <= lam_i: mn inequality rows,
-    n + 1 equalities and mn + m nonnegative variables [p, lam].  The
-    multipliers of the column equalities are -c.
+    solved by column generation.  A master on a set K of (j, mu) columns
+    gives row duals lam (weights on the simplex) and convexity duals s_j;
+    `_column_medians` at the weights lam prices every column at once, its
+    best kink mu_j costing h_j = min_mu sum_i lam_i |A_ij - mu v_i|, and each
+    (j, mu_j) with h_j below s_j joins K.  No column joins twice, so the loop
+    ends after at most the total number of kinks.  sum_j h_j / sum lam is a
+    lower bound on the minimum for every lam >= 0, and the returned one is
+    that of the last master.  K starts as every kink when the master holds at
+    most MASTER_ALL_KINKS entries (one LP is then the whole solve), else as
+    each column's median kink under the weights |v_i|, the Psi_1 minimizer.
+    Each master's matrix is divided by a power of two that puts its largest
+    entry in [0.5, 1), which keeps the LP tolerances relative and the solve
+    exact under scaling A by a power of two.  The minimizer is
+    c_j = sum_mu y_{j,mu} mu; by convexity its value is at most t.
     """
     # the LP stack is loaded on first use, so `import ergo` does not pay for it
     import scipy.optimize
     import scipy.sparse
 
     m, n = A.shape
-    mn = m * n
-    row = np.repeat(np.arange(m), n)  # p_ij sits at k = i n + j
-    col = np.tile(np.arange(n), m)
-    k = np.arange(mn)
-    obj = np.concatenate([-2.0 * A.ravel(), A.sum(axis=1)])
-    A_ub = scipy.sparse.coo_array(
-        (np.concatenate([np.ones(mn), -np.ones(mn)]),
-         (np.concatenate([k, k]), np.concatenate([k, mn + row]))), shape=(mn, mn + m))
-    A_eq = scipy.sparse.coo_array(
-        (np.concatenate([2.0 * v[row], -v[row], np.ones(m)]),
-         (np.concatenate([col, col, np.full(m, n)]),
-          np.concatenate([k, mn + row, mn + np.arange(m)]))), shape=(n + 1, mn + m))
-    b_eq = np.zeros(n + 1)
-    b_eq[n] = 1.0
-    # presolve reduces this LP little (at most the p_ij of zero anchor
-    # entries) and costs more set-up time than it saves
-    res = scipy.optimize.linprog(obj, A_ub=A_ub, b_ub=np.zeros(mn), A_eq=A_eq, b_eq=b_eq,
-                                 method="highs-ds",
-                                 options={"presolve": False,
-                                          "primal_feasibility_tolerance": LP_TOL,
-                                          "dual_feasibility_tolerance": LP_TOL})
-    if res.status != 0:
-        raise CrossCheckError(f"deflation LP failed: {res.message}")
-    return -res.eqlin.marginals[:n], np.maximum(res.x[mn:], 0.0)
+    nz = v != 0.0
+    kinks = A[nz] / v[nz, None]  # kinks[k, j] is the kink of row k in column j
+    if m * n * len(kinks) <= MASTER_ALL_KINKS:
+        cols = [(j, mu) for j in range(n) for mu in np.unique(kinks[:, j])]
+    else:
+        _, (mus,) = _column_medians(v, A[None])
+        cols = list(enumerate(mus))
+    known = set(cols)
+    while True:
+        js, mus = (np.array(x) for x in zip(*cols))
+        N = len(cols)
+        M = np.abs(A[:, js] - v[:, None] * mus)
+        exp = int(np.frexp(np.max(M, initial=0.0))[1])
+        A_ub = np.hstack([np.ldexp(M, -exp), -np.ones((m, 1))])
+        # the convexity rows hold one entry per column: dense while that is
+        # small (scipy stacks dense rows faster), sparse beyond
+        if n * N <= MASTER_ALL_KINKS:
+            A_eq = np.zeros((n, N + 1))
+            A_eq[js, np.arange(N)] = 1.0
+        else:
+            A_eq = scipy.sparse.coo_array((np.ones(N), (js, np.arange(N))), shape=(n, N + 1))
+        obj = np.zeros(N + 1)
+        obj[N] = 1.0
+        # t is free, so the row duals sum to 1; presolve shrinks the master
+        # little and costs more set-up time than it saves
+        res = scipy.optimize.linprog(obj, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq,
+                                     b_eq=np.ones(n), bounds=[(0.0, None)] * N + [(None, None)],
+                                     method="highs-ds",
+                                     options={"presolve": False,
+                                              "primal_feasibility_tolerance": LP_TOL,
+                                              "dual_feasibility_tolerance": LP_TOL})
+        if res.status != 0:
+            raise CrossCheckError(f"deflation LP failed: {res.message}")
+        lam = np.maximum(-res.ineqlin.marginals, 0.0)
+        s = np.ldexp(res.eqlin.marginals, exp)
+        (h,), (best,) = _column_medians(lam * v, (lam[:, None] * A)[None])
+        bound = float(np.sum(h)) / float(np.sum(lam))
+        priced = np.flatnonzero(h < s - np.ldexp(PRICING_TOL, exp))
+        # the median of lam_k A_kj / (lam_k v_k) can be an ulp off its kink
+        rows = np.argmin(np.abs(kinks[:, priced] - best[priced]), axis=0)
+        best[priced] = kinks[rows, priced]
+        new = [(j, best[j]) for j in priced if (j, best[j]) not in known]
+        if not new:
+            break
+        cols += new
+        known.update(new)
+    y = np.maximum(res.x[:N], 0.0)
+    c = np.bincount(js, weights=y * mus, minlength=n) / np.bincount(js, weights=y, minlength=n)
+    return c, bound
 
 
 def deflated_norm(v, A, q):
@@ -289,13 +347,15 @@ def deflated_norm(v, A, q):
 
     For q = 2 the orthogonal-projection vector A^T v / ||v||^2 is the unique
     minimizer.  For q in {1, inf} the minimum is generally strictly below the
-    value at that vector; it is found by weighted medians (q=1) or the
-    compact dual LP of `_deflate_linf` (q=inf).  Ties are broken toward the
-    projection vector when it is also optimal, which keeps degenerate cases
-    canonical.  For q = inf the value is the one attained at `c_star`, and
-    it is certified by weak duality: it exceeds the bound that the LP's dual
-    weights give through `_column_medians` by at most 1e-9 max(1, value),
-    or `CrossCheckError` is raised.
+    value at that vector; it is found by weighted medians (q=1) or by column
+    generation over the weighted-median kinks in `_deflate_linf` (q=inf).
+    Ties within 1e-12 of the value, relative, are broken toward the
+    projection vector, which keeps degenerate cases canonical and the result
+    the same under scaling A by a power of two.  For q = inf the value is
+    the one attained at `c_star`, and it is certified by weak duality: it
+    exceeds `bound`, the lower bound that `_column_medians` gives at the last
+    master's dual weights, by at most 1e-9 max(1, value), or
+    `CrossCheckError` is raised.  `bound` is None for q in {1, 2}.
     """
     v, A = _anchored(v, A)
     q = as_pnorm(q)
@@ -308,23 +368,19 @@ def deflated_norm(v, A, q):
         # median problems behind tau_inf
         (values,), (c,) = _column_medians(v, A[None])
         value = float(np.max(values, initial=0.0))
-        if value_proj <= value + 1e-12:
+        if value_proj <= value * (1.0 + 1e-12):
             c = c_proj
         # the smaller value is reported even when c_proj wins a near-tie,
         # which keeps tau_inf = Psi_1 exact
         return DeflationResult(min(value, value_proj), c, q)
-    c, lam = _deflate_linf(v, A)
+    c, bound = _deflate_linf(v, A)
     value = _deflation_value(v, A, c, INF)
-    if value_proj <= value + 1e-12:
+    if value_proj <= value * (1.0 + 1e-12):
         c, value = c_proj, value_proj
-    # weak duality: sum_j min_mu sum_i lam_i |A_ij - mu v_i| / sum lam is a
-    # lower bound on Psi_inf for every lam >= 0
-    (values,), _ = _column_medians(lam * v, (lam[:, None] * A)[None])
-    bound = float(np.sum(values)) / float(np.sum(lam))
     if value - bound > DUALITY_GAP_TOL * max(1.0, value):
         raise CrossCheckError(
             f"Psi_inf value {value!r} exceeds its duality bound {bound!r}")
-    return DeflationResult(value, c, q)
+    return DeflationResult(value, c, q, bound)
 
 
 def lmi_l2(A, P, feasibility_slack=1e-9, infeasibility_step=1e-6):

@@ -130,6 +130,25 @@ def test_incidence_p2_matches_agreement():
         assert abs(a - b) < 1e-10
 
 
+def test_incidence_p2_tests_kernel_invariance_once(monkeypatch):
+    import ergo.seminorm as seminorm
+    residuals = seminorm._kernel_residuals
+    calls = []
+
+    def counted(As, kernel):
+        calls.append(len(As))
+        return residuals(As, kernel)
+    monkeypatch.setattr(seminorm, "_kernel_residuals", counted)
+    for n in (2, 5, 40):
+        S = random_stochastic(n)
+        for W in (SeminormWeight.incidence(n), SeminormWeight.agreement(n)):
+            calls.clear()
+            induced_seminorm(S.matrix, W, 2)
+            assert calls == [1]
+        assert (repr(induced_seminorm(S.matrix, SeminormWeight.incidence(n), 2))
+                == repr(induced_seminorm(S.matrix, SeminormWeight.agreement(n), 2)))
+
+
 def test_oblique_seminorm_equals_tau_oblique():
     for _ in range(20):
         S = random_stochastic(int(rng.integers(2, 6)))
@@ -405,6 +424,80 @@ def test_psi_inf_certificate_rejects_a_suboptimal_minimizer(monkeypatch):
     M = np.random.default_rng(37).uniform(-1.0, 1.0, (6, 5))
     with pytest.raises(CrossCheckError):
         deflated_norm(np.ones(6), M, INF)
+
+
+def _count_linprog(monkeypatch):
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    return calls
+
+
+def test_psi_inf_both_starts_match_literal_primal_lp(monkeypatch):
+    # every anchor case, square and rectangular, from all kinks (one
+    # master) and from the median kinks (column generation); the bound is
+    # the certificate's weak-duality bound at the last master
+    import ergo.seminorm as seminorm
+    local = np.random.default_rng(41)
+    calls = _count_linprog(monkeypatch)
+    for m, n in ((6, 6), (9, 14)):
+        for v, A in _anchor_cases(local, m, n):
+            expected = _primal_lp_psi_inf(v, A)
+            for budget in (1 << 62, 0):
+                monkeypatch.setattr(seminorm, "MASTER_ALL_KINKS", budget)
+                calls.clear()
+                res = deflated_norm(v, A, INF)
+                if budget:
+                    assert len(calls) == 1
+                assert abs(res.value - expected) <= 1e-9 * max(1.0, abs(expected))
+                assert 0.0 <= res.value - res.bound <= 1e-9 * max(1.0, res.value)
+                _assert_psi_inf_minimum(v, A, res, local)
+            assert deflated_norm(v, A, 1).bound is None
+            assert deflated_norm(v, A, 2).bound is None
+
+
+def test_psi_inf_small_inputs_take_one_lp(monkeypatch):
+    local = np.random.default_rng(43)
+    calls = _count_linprog(monkeypatch)
+    for n in range(2, 7):
+        for v, A in _anchor_cases(local, n, n):
+            calls.clear()
+            res = deflated_norm(v, A, INF)
+            assert len(calls) == 1
+            assert 0.0 <= res.value - res.bound <= 1e-9 * max(1.0, res.value)
+
+
+def test_psi_inf_column_generation_on_a_120_state_chain(monkeypatch):
+    local = np.random.default_rng(47)
+    M = local.uniform(0.0, 1.0, (120, 120)) + 0.02
+    M /= M.sum(axis=1, keepdims=True)
+    calls = _count_linprog(monkeypatch)
+    res = deflated_norm(np.ones(120), M, INF)
+    assert len(calls) > 1
+    assert 0.0 <= res.value - res.bound <= 1e-9 * max(1.0, res.value)
+    _assert_psi_inf_minimum(np.ones(120), M, res, local)
+
+
+@pytest.mark.parametrize("q", [1, INF])
+def test_deflated_norm_is_scale_free(q):
+    # scaling A by 2^k is exact, and so is every step of both solvers, so
+    # the value scales exactly and stays attained at c_star; this holds
+    # only with a tie-break toward c_proj relative to the value
+    local = np.random.default_rng(53)
+    for m, n in ((3, 3), (5, 4), (4, 6)):
+        for v, A in _anchor_cases(local, m, n):
+            base = deflated_norm(v, A, q).value
+            for k in (-600, -40, 40, 600):
+                Ak = np.ldexp(A, k)
+                res = deflated_norm(v, Ak, q)
+                scaled = np.ldexp(base, k)
+                assert abs(res.value - scaled) <= 1e-12 * scaled
+                attained = induced_pnorm(Ak - np.outer(v, res.c_star), q)
+                assert abs(attained - res.value) <= 1e-12 * res.value
 
 
 def test_incidence_inf_near_row_tolerance_is_not_a_chain():
