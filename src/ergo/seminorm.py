@@ -156,26 +156,27 @@ def kernel_invariance_residual(A, weight):
 
 def _reduced_seminorms(As, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
     """|||A_k|||_{p,R} for every A_k of As, a (K, n, n) array or a list of
-    n x n arrays, and a weight of any kind but the incidence one; p is
-    already normalized.  Returns K values.
+    n x n arrays, and a weight of any kind but the incidence one, which is
+    taken at p = 2 only; p is already normalized.  Returns K values.
 
     The R = S Q reduction of `induced_seminorm`, run for a stack: S^-T anchor
     and S^-1 are formed once, and the matrices are taken in the chunks of
     `ergodicity._stack_chunks` (at most BLOCK_ENTRIES entries, or one
     matrix), each chunk stacked, reduced and passed to one tau kernel call,
-    so a long sequence is never stacked whole.  Each A_k has its own
-    kernel-invariance test; one that fails it gets the value off the closed
-    forms (brute force up to n <= 5, refused above); invariance_tol None
-    skips the test, for a caller that has made it.
+    so a long sequence is never stacked whole.  The incidence weight at
+    p = 2 is reduced as the agreement weight, which has the same kernel and
+    the same seminorm.  Each A_k has its own kernel-invariance test; one that
+    fails it gets the value off the closed forms of the given weight (brute
+    force up to n <= 5, refused above).
     """
-    u, R, S_inv = weight.anchor, weight.matrix, None
-    if weight.s_factor is not None:
-        u, S_inv = scipy.linalg.solve(weight.s_factor.T, u), scipy.linalg.inv(weight.s_factor)
+    reduced = SeminormWeight.agreement(weight.n) if weight.kind == "incidence" else weight
+    u, R, S_inv = reduced.anchor, reduced.matrix, None
+    if reduced.s_factor is not None:
+        u, S_inv = scipy.linalg.solve(reduced.s_factor.T, u), scipy.linalg.inv(reduced.s_factor)
     values = []
     for ks in _stack_chunks(len(As), weight.n, weight.n):
         chunk = np.asarray(As[ks])
-        outside = (np.flatnonzero(_kernel_residuals(chunk, weight.kernel) > invariance_tol)
-                   if invariance_tol is not None else [])
+        outside = np.flatnonzero(_kernel_residuals(chunk, weight.kernel) > invariance_tol)
         # refused above n = 5 before any kernel work, as a single matrix is
         off = [_off_closed_forms(chunk[k], weight, p, invariant=False) for k in outside]
         Bs = R @ chunk
@@ -230,15 +231,13 @@ def induced_seminorm(A, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
     if weight.kind not in ("orthogonal", "oblique", "agreement", "incidence", "factored"):
         raise PreconditionError(f"unknown weight kind {weight.kind!r}")
 
-    if weight.kind == "incidence":
+    # ||C^T x||_2 = sqrt(2n) ||Pi x||_2 makes the incidence weight at p = 2
+    # the agreement one, which `_reduced_seminorms` reduces it to
+    if weight.kind == "incidence" and p != 2:
         invariant = kernel_invariance_residual(A, weight) <= invariance_tol
         if not invariant or p == 1:
             return _off_closed_forms(A, weight, p, invariant)
-        if p == INF:
-            return tau(np.ones(n), A, 1).value
-        # ||C^T x||_2 = sqrt(2n) ||Pi x||_2 makes the two weights identical,
-        # and their common kernel has just been tested
-        weight, invariance_tol = SeminormWeight.agreement(n), None
+        return tau(np.ones(n), A, 1).value
     return float(_reduced_seminorms(A[None], weight, p, invariance_tol)[0])
 
 
@@ -305,13 +304,7 @@ def _deflate_linf(v, A):
         M = np.abs(A[:, js] - v[:, None] * mus)
         exp = int(np.frexp(np.max(M, initial=0.0))[1])
         A_ub = np.hstack([np.ldexp(M, -exp), -np.ones((m, 1))])
-        # the convexity rows hold one entry per column: dense while that is
-        # small (scipy stacks dense rows faster), sparse beyond
-        if n * N <= MASTER_ALL_KINKS:
-            A_eq = np.zeros((n, N + 1))
-            A_eq[js, np.arange(N)] = 1.0
-        else:
-            A_eq = scipy.sparse.coo_array((np.ones(N), (js, np.arange(N))), shape=(n, N + 1))
+        A_eq = scipy.sparse.coo_array((np.ones(N), (js, np.arange(N))), shape=(n, N + 1))
         obj = np.zeros(N + 1)
         obj[N] = 1.0
         # t is free, so the row duals sum to 1; presolve shrinks the master
