@@ -5,13 +5,16 @@ Exact closed forms for p in {1, 2, inf}:
   p = 1    the feasible polytope (cross-polytope cut by the hyperplane) has
            vertices supported on two coordinates, giving
            tau_1 = max_{i<j} ||v_j A_i - v_i A_j||_1 / (|v_i| + |v_j|)
-           over rows A_i of A.  The pairs are taken in (matrix, row) blocks
-           of a stack of matrices: rows of one or more matrices, each row
-           against every later row of its matrix in one broadcast of at
-           most BLOCK_ENTRIES entries; the Dobrushin overlap form walks the
-           same blocks.  An anchor of +-1 entries (the all-ones anchor among
-           them) needs no products: with H = v[:, None] * A each pair term
-           is ||H_i - H_j||_1 / 2, with the same bits.
+           over rows A_i of A.  One kernel serves every anchor: with
+           H = A / v (rows A_i / v_i) and w = 1 / |v|, each term is
+           ||H_i - H_j||_1 / (w_i + w_j), and a zero v_i (or one below
+           2^-512 max |v|) frees e_i, so its row counts at ||A_i||_1.  For
+           a +-1 anchor (the all-ones anchor of Dobrushin among them) the
+           divisions are exact and the terms are the row distances halved.
+           The pairs are taken in (matrix, row) blocks of a stack of
+           matrices: rows of one or more matrices, each row against every
+           later row of its matrix in one broadcast of at most BLOCK_ENTRIES
+           entries; the Dobrushin overlap form walks the same blocks.
   p = inf  column-wise LP: tau_inf = max_k min_mu ||A_{.k} - mu v||_1.  Each
            column's objective is convex and piecewise linear in mu with kinks
            at A_ik / v_i, so its minimum sits at a weighted median of the
@@ -33,6 +36,7 @@ exact values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,49 +78,47 @@ def _pair_blocks(K, m, n):
     blocks are those of a single matrix; a block that leaves room in the
     budget takes that many matrices at once.
     """
+    # every block's mask is a corner of this one: later[r, c] is c >= r
+    upper = np.arange(m - 1) >= np.arange(m - 1)[:, None]
     i0 = 0
     while i0 < m - 1:
         rest = m - i0 - 1
         i1 = min(m - 1, i0 + max(1, BLOCK_ENTRIES // max(1, rest * n)))
-        later = np.arange(rest) >= np.arange(i1 - i0)[:, None]
         step = max(1, BLOCK_ENTRIES // max(1, (i1 - i0) * rest * n))
         for k0 in range(0, K, step):
-            yield slice(k0, k0 + step), i0, i1, later
+            yield slice(k0, k0 + step), i0, i1, upper[:i1 - i0, :rest]
         i0 = i1
 
 
 def _tau_l1(v, As):
+    """tau_1(v, A) for every matrix A of the stack As: one pair kernel for
+    every anchor.
+
+    With H = A / v (rows A_i / v_i) and w = 1 / |v|, v_j A_i - v_i A_j =
+    v_i v_j (H_i - H_j), so a pair term is ||H_i - H_j||_1 / (w_i + w_j);
+    scaling v leaves it unchanged.  A zero v_i frees e_i: its row of H is 0
+    and its weight inf, so its pair terms are 0, and the row counts on its
+    own at ||A_i||_1.  An entry below 2^-512 max |v| is freed the same way.
+    That keeps H and w finite and moves the value by less than
+    2^-508 max_i ||A_i||_1: such a row's term with the largest |v_j| is
+    ||A_i||_1 to that accuracy, and no pair term exceeds the larger norm of
+    its two rows.  With a +-1 anchor the divisions are exact and the terms
+    are the row distances halved.  The distances of the stack fill one
+    (K, m, m) table, divided once by the table of w_i + w_j.
+    """
     # row-major storage makes every row sum, down to the last bit,
     # independent of how the caller laid A out
     As = np.ascontiguousarray(As)
-    absv = np.abs(v)
-    if np.all(absv == 1.0):
-        return _tau_l1_unit(v, As)
-    rownorm1 = np.sum(np.abs(As), axis=2)
-    best = np.zeros(len(As))
-    for ks, i0, i1, later in _pair_blocks(*As.shape):
-        rows, after = slice(i0, i1), slice(i0 + 1, None)
-        den = absv[rows, None] + absv[after]
-        diff = v[after, None] * As[ks, rows, None, :]
-        diff -= v[rows, None, None] * As[ks, None, after]
-        dist = np.add.reduce(np.abs(diff, out=diff), axis=3)
-        # den == 0: both coordinates unconstrained, the slice contains +-e_i, +-e_j
-        vals = np.divide(dist, den, out=np.maximum(rownorm1[ks, rows, None],
-                                                   rownorm1[ks, None, after]),
-                         where=den != 0.0)
-        best[ks] = np.maximum(best[ks], vals.max(axis=(1, 2), where=later, initial=0.0))
-    return best
-
-
-def _tau_l1_unit(v, As):
-    """`_tau_l1` for an anchor of +-1 entries, bit for bit.
-
-    With H = v[:, None] * A (exact), v_j A_i - v_i A_j = v_i v_j (H_i - H_j)
-    and round-to-nearest is symmetric in sign, so each pair's distance is
-    ||H_i - H_j||_1 with the same bits, and the denominator is exactly 2.
-    """
-    Hs = v[:, None] * As
-    best = np.zeros(len(Hs))
+    # a power of two puts max |v| in [0.5, 1) and changes no bit of a term
+    v = np.ldexp(v, -math.frexp(np.maximum.reduce(np.abs(v)))[1])
+    free = np.abs(v) < 2.0 ** -512
+    d = np.where(free, np.inf, v)
+    Hs = As / d[:, None]
+    w = np.where(free, np.inf, 1.0 / np.abs(d))
+    # a block's row i lands in dist[k, i, i0 + 1:], no mask: j > i is the
+    # pair (i, j), j = i is 0 and j < i repeats the pair (j, i) bit for bit;
+    # the entries no block writes stay 0
+    dist = np.zeros(As.shape[:2] + As.shape[1:2])
     for ks, i0, i1, _ in _pair_blocks(*Hs.shape):
         after = Hs[ks, None, i0 + 1:]
         # a broadcast copy and an in-place difference are faster than one
@@ -124,12 +126,11 @@ def _tau_l1_unit(v, As):
         diff = np.empty((len(after), i1 - i0) + after.shape[2:])
         diff[...] = Hs[ks, i0:i1, None, :]
         diff -= after
-        dist = np.add.reduce(np.abs(diff, out=diff), axis=3)
-        # no mask: the entries with j <= i are 0 (j = i) or, bit for bit,
-        # the distance of the pair (j, i), which a block takes anyway
-        best[ks] = np.maximum(best[ks], dist.max(axis=(1, 2)))
-    # halving is monotone, so it commutes with the maximum
-    return best / 2.0
+        np.add.reduce(np.abs(diff, out=diff), axis=3, out=dist[ks, i0:i1, i0 + 1:])
+    dist /= w[:, None] + w
+    rownorm1 = np.add.reduce(np.abs(As), axis=2)
+    return np.maximum(np.maximum.reduce(dist, axis=(1, 2), initial=0.0),
+                      np.maximum.reduce(rownorm1, axis=1, where=free, initial=0.0))
 
 
 def _stack_chunks(K, m, n):
@@ -146,14 +147,12 @@ def _column_medians(v, As):
     The objective is convex and piecewise linear in mu, with a kink at
     A_ik / v_i of weight |v_i| for each row with v_i != 0, so a weighted
     median of the kinks minimizes it.  The columns of all the matrices are
-    rows of one table for `_row_medians`, taken in the chunks of
-    `_stack_chunks`, so each temporary stays within the pair kernel's budget.
+    rows of one table for `_row_medians`; callers pass a single matrix or a
+    stack already cut to the pair kernel's budget.
     """
     K, m, n = As.shape
-    tables = (np.ascontiguousarray(As[ks].transpose(0, 2, 1)).reshape(-1, m)
-              for ks in _stack_chunks(K, m, n))
-    values, mus = zip(*(_row_medians(v, X) for X in tables))
-    return np.concatenate(values).reshape(K, n), np.concatenate(mus).reshape(K, n)
+    values, mus = _row_medians(v, np.ascontiguousarray(As.transpose(0, 2, 1)).reshape(-1, m))
+    return values.reshape(K, n), mus.reshape(K, n)
 
 
 def _row_medians(v, X):
@@ -183,9 +182,7 @@ def _row_medians(v, X):
 
 
 def _tau_l2(v, As):
-    P = orthogonal_projector(v)
-    return np.concatenate([np.linalg.norm(P @ As[ks], 2, axis=(1, 2))
-                           for ks in _stack_chunks(*As.shape)])
+    return np.linalg.norm(orthogonal_projector(v) @ As, 2, axis=(1, 2))
 
 
 def _tau_values(v, As, p):

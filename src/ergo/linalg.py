@@ -154,17 +154,19 @@ def _boolean_primitive(mask, n):
 
     A pattern with some all-positive power has one at or before the Wielandt
     bound (n-1)^2 + 1; positivity is monotone once every row is nonempty, so
-    a single power >= the bound decides.
+    a single power >= the bound decides.  Each square is a float64 BLAS
+    product of 0/1 matrices, whose entries are integers of at most n and so
+    exact.
     """
     if np.all(mask):
         return True
     if not mask.any(axis=1).all() or not mask.any(axis=0).all():
         return False
     bound = (n - 1) ** 2 + 1
-    power = mask.copy()
+    power = mask.astype(np.float64)
     steps = 1
     while steps < bound:
-        power = (power.astype(np.int64) @ power.astype(np.int64)) > 0
+        power = np.minimum(power @ power, 1.0)
         steps *= 2
         if np.all(power):
             return True

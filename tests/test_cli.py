@@ -106,6 +106,63 @@ def test_seminorm_factored(a22, tmp_path, capsys):
     assert report["result"]["weight"] == "factored"
 
 
+def _write_csv(path, rows):
+    path.write_text("\n".join(",".join(repr(float(x)) for x in np.atleast_1d(row))
+                              for row in np.atleast_2d(rows)) + "\n")
+    return path
+
+
+def test_tau_file_anchor_matches_oracle(tmp_path, capsys):
+    # a general anchor, with a zero entry, through the p = 1 pair kernel
+    from ergo import oracle_tau
+    local = np.random.default_rng(31)
+    M = local.standard_normal((5, 4))
+    v = local.standard_normal(5)
+    v[2] = 0.0
+    M[2] *= 0.1  # a pair of rows, not the freed row, attains the value
+    a = _write_csv(tmp_path / "m.csv", M)
+    f = _write_csv(tmp_path / "v.csv", v)
+    code, report = run_cli(capsys, "tau", str(a), "--p", "1", "--anchor", f"file:{f}")
+    assert code == 0
+    assert abs(report["result"]["value"] - oracle_tau(v, M, 1).value) <= 1e-9
+    assert "dobrushin" not in report["result"]
+
+
+def test_tau_non_chain_has_no_dobrushin_block(tmp_path, capsys):
+    a = _write_csv(tmp_path / "signed.csv", [[1.0, -1.0], [0.5, 0.5]])
+    code, report = run_cli(capsys, "tau", str(a), "--p", "1")
+    assert code == 0
+    assert report["result"]["value"] == 1.0  # ||A_0 - A_1||_1 / 2
+    assert "dobrushin" not in report["result"]
+    assert report["residuals"] == {}
+
+
+def test_seminorm_pv_weight_matches_oracle(tmp_path, capsys):
+    # ker P_v = span(v) is A-invariant, so the closed form answers
+    from ergo import SeminormWeight, oracle_weighted_seminorm
+    local = np.random.default_rng(37)
+    v = local.uniform(0.5, 2.0, 4)
+    B = local.standard_normal((4, 4))
+    M = B - np.outer(B @ v - 0.7 * v, v) / (v @ v)
+    a = _write_csv(tmp_path / "m.csv", M)
+    f = _write_csv(tmp_path / "v.csv", v)
+    for p in ("1", "inf"):
+        code, report = run_cli(capsys, "seminorm", str(a), "--weight", f"pv:{f}", "--p", p)
+        assert code == 0
+        assert report["result"]["weight"] == "orthogonal"
+        expected = oracle_weighted_seminorm(M, SeminormWeight.orthogonal(v), p).value
+        assert abs(report["result"]["value"] - expected) <= 1e-9
+        assert report["residuals"]["kernel_invariance"] < 1e-12
+
+
+def test_unknown_anchor_and_weight_exit_2(a22, tmp_path, capsys):
+    s = _write_csv(tmp_path / "s.csv", [[2.0, 0.0], [0.0, 1.0]])
+    for argv in (("tau", str(a22), "--anchor", "uniform"),
+                 ("seminorm", str(a22), "--weight", "euclid"),
+                 ("seminorm", str(a22), "--weight", f"factored:{s}")):
+        assert run_cli(capsys, *argv) == (2, None)
+
+
 def test_mixing_flip_chain(tmp_path, capsys):
     p = tmp_path / "flip.csv"
     p.write_text("0.75,0.25\n0.25,0.75\n")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ergo import (INF, CrossCheckError, PreconditionError, StochasticMatrix,
                   deflated_norm, dobrushin, dominant_pair, induced_pnorm,
@@ -155,6 +156,50 @@ def _pairwise_tau1(v, A):
     return float(best)
 
 
+_SIGNS = st.sampled_from([1.0, -1.0])
+# zeros, +-1 and magnitudes 1e-100..1e100, mixed within one anchor
+_MAGNITUDES = st.builds(lambda s, e: s * 10.0 ** e, _SIGNS, st.floats(-100.0, 100.0))
+_ANCHOR_ENTRIES = st.one_of(st.just(0.0), _SIGNS, _MAGNITUDES)
+
+
+@st.composite
+def _anchored_matrices(draw):
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    entries = draw(st.sampled_from([_ANCHOR_ENTRIES, _SIGNS]))
+    v = np.array(draw(st.lists(entries, min_size=m, max_size=m)))
+    assume(np.any(v))
+    local = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = local.standard_normal((m, n))
+    A[local.random((m, n)) < 0.3] = 0.0
+    return v, A
+
+
+@settings(max_examples=60)
+@given(_anchored_matrices())
+def test_tau1_matches_pair_loop_on_drawn_anchors(case):
+    v, A = case
+    assert tau(v, A, 1).value == pytest.approx(_pairwise_tau1(v, A), rel=1e-12, abs=0.0)
+
+
+def test_tau1_anchors_across_the_float_range():
+    # scaling the anchor by a power of two, down to subnormal entries, keeps
+    # every bit; entries 1e300 apart stay finite and match the pair loop, and
+    # an entry below 2^-512 max |v| counts as zero
+    local = np.random.default_rng(41)
+    A = local.standard_normal((6, 5))
+    v = local.standard_normal(6)
+    for anchor in (np.ones(6), v):
+        value = tau(anchor, A, 1).value
+        for c in (2.0 ** -1000, 2.0 ** 1000):
+            assert repr(tau(c * anchor, A, 1).value) == repr(value)
+    assert repr(tau(np.full(6, 5e-324), A, 1).value) == repr(tau(np.ones(6), A, 1).value)
+    spread = np.array([1.0, -1e-300, 3e-300, 2.0, 1e-320, 0.5])
+    for M in (A, 1e10 * A):
+        assert tau(spread, M, 1).value == pytest.approx(_pairwise_tau1(spread, M), rel=1e-12)
+        cut = np.where(np.abs(spread) < 1e-200, 0.0, spread)
+        assert tau(spread, M, 1).value == tau(cut, M, 1).value
+
+
 def _pairwise_dobrushin(M):
     n = len(M)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -219,17 +264,16 @@ def test_overlap_form_matches_pair_loop():
 
 
 def _per_row_tau1(v, A):
-    """The pair kernel taking one row against all later rows per step."""
+    """The pair kernel taking one row against all later rows per step: rows
+    of H = A / v at weights w = 1 / |v|, and a row with v_i = 0 on its own."""
     A = np.ascontiguousarray(A)
-    absv = np.abs(v)
-    rownorm1 = np.sum(np.abs(A), axis=1)
-    best = 0.0
-    for i in range(len(v) - 1):
-        den = absv[i] + absv[i + 1:]
-        dist = np.sum(np.abs(v[i + 1:, None] * A[i] - v[i] * A[i + 1:]), axis=1)
-        vals = np.divide(dist, den, out=np.maximum(rownorm1[i], rownorm1[i + 1:]),
-                         where=den != 0.0)
-        best = max(best, float(np.max(vals)))
+    live = np.flatnonzero(v)
+    H = A[live] / v[live, None]
+    w = 1.0 / np.abs(v[live])
+    best = max((float(np.sum(np.abs(A[i]))) for i in np.flatnonzero(v == 0.0)), default=0.0)
+    for r in range(len(live) - 1):
+        dist = np.sum(np.abs(H[r] - H[r + 1:]), axis=1) / (w[r] + w[r + 1:])
+        best = max(best, float(np.max(dist)))
     return best
 
 

@@ -5,6 +5,7 @@ from ergo import (INF, PreconditionError, StochasticMatrix, as_distribution,
                   as_pnorm, conjugate_pnorm, dominant_pair, eigendecompose,
                   incidence_complete, induced_pnorm, oblique_projector,
                   orthogonal_projector, agreement_projector, SeminormWeight)
+from ergo.linalg import _boolean_primitive
 
 rng = np.random.default_rng(2024)
 
@@ -182,6 +183,33 @@ def test_stochastic_flags():
         StochasticMatrix([[0.5, 0.4], [0.25, 0.75]])
     with pytest.raises(PreconditionError):
         StochasticMatrix([[1.5, -0.5], [0.25, 0.75]])
+
+
+def _int64_primitive(mask):
+    """Primitivity by its definition: some power A^k, k up to the Wielandt
+    bound (n-1)^2 + 1, is all positive, powered one step at a time in int64."""
+    n = len(mask)
+    step = mask.astype(np.int64)
+    power = step
+    for _ in range((n - 1) ** 2 + 1):
+        if np.all(power > 0):
+            return True
+        power = np.minimum(power @ step, 1)
+    return False
+
+
+def test_primitivity_matches_int64_powering():
+    local = np.random.default_rng(29)
+    verdicts = set()
+    for _ in range(1500):
+        n = int(local.integers(1, 9))
+        mask = local.random((n, n)) < local.uniform(0.1, 0.6)
+        if local.random() < 0.3:  # a cycle, lazy or not: periodic or primitive
+            mask |= np.roll(np.eye(n, dtype=bool), 1, axis=1)
+        verdict = _boolean_primitive(mask, n)
+        assert verdict == _int64_primitive(mask)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_dominant_pair():
