@@ -22,6 +22,8 @@ PNORMS = (1, 2, INF)
 
 ROW_TOLERANCE = 1e-10
 DIAGONALIZABLE_COND = 1e8
+#: how far a distribution may fall outside the simplex before renormalizing
+DISTRIBUTION_TOL = 1e-9
 
 
 def as_pnorm(p):
@@ -73,15 +75,15 @@ def as_vector(x, name="vector"):
     return v
 
 
-def as_distribution(x, tol=1e-9, name="distribution"):
+def as_distribution(x, name="distribution"):
     """Validate membership in the probability simplex and renormalize exactly."""
     v = as_vector(x, name)
-    if np.min(v) < -tol:
+    if np.min(v) < -DISTRIBUTION_TOL:
         raise PreconditionError(f"{name} has negative entries beyond tolerance")
     v = np.clip(v, 0.0, None)
     s = v.sum()
-    if abs(s - 1.0) > tol:
-        raise PreconditionError(f"{name} sums to {s}, not 1 within {tol}")
+    if abs(s - 1.0) > DISTRIBUTION_TOL:
+        raise PreconditionError(f"{name} sums to {s}, not 1 within {DISTRIBUTION_TOL}")
     return v / s
 
 
@@ -115,11 +117,12 @@ def agreement_projector(n):
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
-def oblique_projector(w, tol=1e-8):
-    """Q_w = I - 1 w^T with w^T 1 = 1; idempotent, kernel <1>, image w-perp."""
+def oblique_projector(w):
+    """Q_w = I - 1 w^T with w^T 1 = 1 within 1e-8; idempotent, kernel <1>,
+    image w-perp."""
     w = as_vector(w)
     s = float(w.sum())
-    if abs(s - 1.0) > tol:
+    if abs(s - 1.0) > 1e-8:
         raise PreconditionError(f"oblique anchor must satisfy w^T 1 = 1, got {s}")
     n = len(w)
     return np.eye(n) - np.outer(np.ones(n), w)
@@ -176,14 +179,12 @@ def _boolean_primitive(mask, n):
 class StochasticMatrix:
     """Validated row-stochastic square matrix with cached structural flags.
 
-    Entries below -row_tolerance or rows off unit sum beyond row_tolerance
+    Entries below -ROW_TOLERANCE or rows off unit sum beyond ROW_TOLERANCE
     fail construction; smaller deviations are clamped/renormalized so that
     downstream certificates never see silently corrected garbage.  This is
     the one place a chain is accepted: every public entry point taking a
     chain goes through `StochasticMatrix.of`.
     """
-
-    row_tolerance = ROW_TOLERANCE
 
     @classmethod
     def of(cls, A, primitive_for=None):
@@ -201,16 +202,16 @@ class StochasticMatrix:
         m = as_matrix(matrix, "stochastic matrix")
         if m.shape[0] != m.shape[1]:
             raise PreconditionError(f"stochastic matrix must be square, got {m.shape}")
-        if np.min(m) < -self.row_tolerance:
+        if np.min(m) < -ROW_TOLERANCE:
             raise PreconditionError("negative entries beyond row tolerance")
         m = np.clip(m, 0.0, None)
         sums = m.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > self.row_tolerance:
+        if np.max(np.abs(sums - 1.0)) > ROW_TOLERANCE:
             raise PreconditionError("row sums deviate from 1 beyond tolerance")
         self.matrix = m / sums[:, None]
         self.n = m.shape[0]
         col = self.matrix.sum(axis=0)
-        self.doubly_stochastic = bool(np.max(np.abs(col - 1.0)) <= self.row_tolerance)
+        self.doubly_stochastic = bool(np.max(np.abs(col - 1.0)) <= ROW_TOLERANCE)
         self.positive_diagonal = bool(np.min(np.diag(self.matrix)) > 0.0)
         self.primitive = _boolean_primitive(self.matrix > 0.0, self.n)
 
@@ -224,8 +225,11 @@ def dominant_pair(A):
     """Right/left dominant eigen-pair (1_n, pi) of a primitive stochastic matrix.
 
     pi is found by power iteration on A^T (with a direct linear solve as
-    fallback for slowly mixing chains) and certified by the residual
-    ||A^T pi - pi||_1 <= 1e-12.
+    fallback for slowly mixing chains), and a residual ||A^T pi - pi||_1
+    above 1e-12 is refused.  The residual does not certify pi: it bounds the
+    error only through 1/(1 - tau_1), so on a nearly decomposable chain
+    (two blocks coupled by 1e-12) pi can be far off entrywise with its
+    residual below 1e-12.
     """
     A = StochasticMatrix.of(A, "a unique stationary distribution")
     M = A.matrix.T
@@ -254,7 +258,7 @@ def dominant_pair(A):
     residual = np.linalg.norm(M @ pi - pi, 1)
     if residual > 1e-12:
         raise PreconditionError(f"stationary residual {residual:.3e} above 1e-12")
-    return np.ones(n), as_distribution(pi, tol=1e-9)
+    return np.ones(n), as_distribution(pi)
 
 
 @dataclass
@@ -285,13 +289,14 @@ def _by_modulus(values, vectors):
     return values[order], vectors[:, order]
 
 
-def _orthonormal_eigenspaces(A, values, vectors, tol=1e-9):
+def _orthonormal_eigenspaces(A, values, vectors):
     """Each repeated real eigenvalue whose eigenspace has full dimension gets
     an orthonormal basis of it and exactly real values.  LAPACK returns nearly
     parallel vectors for such an eigenvalue (J/4: condition number 2.7e17)
-    and may split it into conjugate pairs with 1e-33 imaginary parts (J/7)."""
+    and may split it into conjugate pairs with 1e-33 imaginary parts (J/7).
+    Eigenvalues within 1e-9 max(1, |lambda_1|) of each other form a cluster."""
     values, vectors = values.copy(), vectors.copy()
-    tol *= max(1.0, float(np.abs(values[0])))
+    tol = 1e-9 * max(1.0, float(np.abs(values[0])))
     todo = np.ones(len(values), dtype=bool)
     for i in range(len(values)):
         cluster = np.flatnonzero(todo & (np.abs(values - values[i].real) <= tol))
@@ -303,15 +308,15 @@ def _orthonormal_eigenspaces(A, values, vectors, tol=1e-9):
     return _by_modulus(values, vectors)
 
 
-def eigendecompose(A, cond_threshold=DIAGONALIZABLE_COND):
+def eigendecompose(A):
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise PreconditionError("eigendecomposition needs a square matrix")
     values, vectors = _by_modulus(*np.linalg.eig(A))
-    diagonalizable = _condition(vectors) < cond_threshold
+    diagonalizable = _condition(vectors) < DIAGONALIZABLE_COND
     if not diagonalizable:
         values, vectors = _orthonormal_eigenspaces(A, values, vectors)
-        diagonalizable = _condition(vectors) < cond_threshold
+        diagonalizable = _condition(vectors) < DIAGONALIZABLE_COND
     return EigenDecomposition(
         values=values,
         diagonalizable=diagonalizable,

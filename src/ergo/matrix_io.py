@@ -49,9 +49,13 @@ def _finite(M):
 def parse_json_matrix(obj):
     if isinstance(obj, dict):
         try:
-            rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-        except (KeyError, TypeError, ValueError):
+            rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+        except KeyError:
             raise InputFormatError('JSON matrix object needs "rows", "cols", "data"')
+        if type(rows) is not int or type(cols) is not int:
+            raise InputFormatError('"rows" and "cols" must be JSON integers')
+        if not isinstance(data, list):
+            raise InputFormatError('"data" must be a JSON array')
         if rows <= 0 or cols <= 0:
             raise InputFormatError("matrix dimensions must be positive")
         if len(data) != rows * cols:
@@ -71,15 +75,24 @@ def parse_json_matrix(obj):
             M = np.array(obj, dtype=float)
         except (TypeError, ValueError):
             raise InputFormatError("matrix data must be numeric")
+        if M.ndim != 2:
+            raise InputFormatError("JSON matrix rows must hold numbers, not lists")
         return _finite(M)
     raise InputFormatError("unsupported JSON matrix payload")
+
+
+def _read_text(path):
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise InputFormatError(f"{path} is not UTF-8 text")
 
 
 def load_matrix(path):
     path = Path(path)
     if not path.is_file():
         raise InputFormatError(f"no such file: {path}")
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     if path.suffix.lower() == ".json":
         try:
             return parse_json_matrix(json.loads(text))
@@ -90,7 +103,7 @@ def load_matrix(path):
 
 def load_vector(path):
     m = load_matrix(path)
-    if 1 not in m.shape and m.ndim == 2 and min(m.shape) != 1:
+    if 1 not in m.shape:
         raise InputFormatError(f"expected a vector file, got shape {m.shape}")
     return m.reshape(-1)
 
@@ -107,7 +120,7 @@ def load_sequence(path):
     if not path.is_file():
         raise InputFormatError(f"no such file or directory: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise InputFormatError(f"bad JSON in {path}: {e}")
     if not isinstance(payload, list) or not payload:

@@ -217,7 +217,7 @@ def _seminorm_vertices_l1(R, kernel):
     return verts
 
 
-def oracle_weighted_seminorm(A, weight, p, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
+def oracle_weighted_seminorm(A, weight, p, seed=DEFAULT_SEED):
     """Literal evaluation of max { ||RAx||_p : ||Rx||_p <= 1, x perp ker R }.
 
     Exact polytope vertex enumeration for p in {1, inf} up to n = 5; for the

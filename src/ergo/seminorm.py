@@ -69,9 +69,9 @@ class SeminormWeight:
         return cls("orthogonal", orthogonal_projector(v), v, anchor=v)
 
     @classmethod
-    def oblique(cls, w, tol=1e-8):
+    def oblique(cls, w):
         w = as_vector(w, "anchor")
-        return cls("oblique", oblique_projector(w, tol), np.ones(len(w)), anchor=w)
+        return cls("oblique", oblique_projector(w), np.ones(len(w)), anchor=w)
 
     @classmethod
     def agreement(cls, n):
@@ -154,7 +154,7 @@ def kernel_invariance_residual(A, weight):
     return float(_kernel_residuals(A[None], weight.kernel)[0])
 
 
-def _reduced_seminorms(As, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
+def _reduced_seminorms(As, weight, p):
     """|||A_k|||_{p,R} for every A_k of As, a (K, n, n) array or a list of
     n x n arrays, and a weight of any kind but the incidence one, which is
     taken at p = 2 only; p is already normalized.  Returns K values.
@@ -176,7 +176,7 @@ def _reduced_seminorms(As, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
     values = []
     for ks in _stack_chunks(len(As), weight.n, weight.n):
         chunk = np.asarray(As[ks])
-        outside = np.flatnonzero(_kernel_residuals(chunk, weight.kernel) > invariance_tol)
+        outside = np.flatnonzero(_kernel_residuals(chunk, weight.kernel) > KERNEL_INVARIANCE_TOL)
         # refused above n = 5 before any kernel work, as a single matrix is
         off = [_off_closed_forms(chunk[k], weight, p, invariant=False) for k in outside]
         Bs = R @ chunk
@@ -203,7 +203,7 @@ def _off_closed_forms(A, weight, p, invariant):
         f"brute-force evaluator is capped at n <= {ORACLE_DIMENSION_CAP}")
 
 
-def induced_seminorm(A, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
+def induced_seminorm(A, weight, p):
     """Exact R-weighted induced matrix seminorm |||A|||_{p,R}.
 
     Every weight but the incidence one is R = S Q: Q is an idempotent
@@ -234,11 +234,11 @@ def induced_seminorm(A, weight, p, invariance_tol=KERNEL_INVARIANCE_TOL):
     # ||C^T x||_2 = sqrt(2n) ||Pi x||_2 makes the incidence weight at p = 2
     # the agreement one, which `_reduced_seminorms` reduces it to
     if weight.kind == "incidence" and p != 2:
-        invariant = kernel_invariance_residual(A, weight) <= invariance_tol
+        invariant = kernel_invariance_residual(A, weight) <= KERNEL_INVARIANCE_TOL
         if not invariant or p == 1:
             return _off_closed_forms(A, weight, p, invariant)
         return tau(np.ones(n), A, 1).value
-    return float(_reduced_seminorms(A[None], weight, p, invariance_tol)[0])
+    return float(_reduced_seminorms(A[None], weight, p)[0])
 
 
 @dataclass
@@ -376,7 +376,7 @@ def deflated_norm(v, A, q):
     return DeflationResult(value, c, q, bound)
 
 
-def lmi_l2(A, P, feasibility_slack=1e-9, infeasibility_step=1e-6):
+def lmi_l2(A, P):
     """Smallest b with A^T P A <= b P, for symmetric PSD P with ker P = <v>,
     v an eigenvector of A for its dominant real eigenvalue.
 
@@ -409,12 +409,10 @@ def lmi_l2(A, P, feasibility_slack=1e-9, infeasibility_step=1e-6):
     vals = scipy.linalg.eigh(G1, G2, eigvals_only=True)
     b = float(max(vals[-1], 0.0))
 
-    gap = scipy.linalg.eigh(U.T @ ((b + feasibility_slack) * P - A.T @ P @ A) @ U,
-                            eigvals_only=True)[0]
-    if gap < -feasibility_slack * max(1.0, b) * 10:
-        raise CrossCheckError(f"pencil value {b} is not feasible at slack {feasibility_slack}")
-    lower = scipy.linalg.eigh(U.T @ ((b - infeasibility_step) * P - A.T @ P @ A) @ U,
-                              eigvals_only=True)[0]
-    if b > infeasibility_step and lower > 0:
-        raise CrossCheckError(f"pencil value {b} is not minimal: {b - infeasibility_step} feasible")
+    gap = scipy.linalg.eigh(U.T @ ((b + 1e-9) * P - A.T @ P @ A) @ U, eigvals_only=True)[0]
+    if gap < -1e-9 * max(1.0, b) * 10:
+        raise CrossCheckError(f"pencil value {b} is not feasible at slack 1e-09")
+    lower = scipy.linalg.eigh(U.T @ ((b - 1e-6) * P - A.T @ P @ A) @ U, eigvals_only=True)[0]
+    if b > 1e-6 and lower > 0:
+        raise CrossCheckError(f"pencil value {b} is not minimal: {b - 1e-6} feasible")
     return b

@@ -32,8 +32,8 @@ def _stats(gaps):
     }
 
 
-def _random_stochastic(rng, n, floor=0.02):
-    M = rng.uniform(0.0, 1.0, (n, n)) + floor
+def _random_stochastic(rng, n):
+    M = rng.uniform(0.0, 1.0, (n, n)) + 0.02
     return StochasticMatrix(M / M.sum(axis=1, keepdims=True))
 
 

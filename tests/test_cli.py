@@ -249,6 +249,60 @@ def test_certify_empty_directory_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+SEQ22_JSON = "[[[0.5, 0.5], [0.25, 0.75]]]"
+A23_CSV = "0.5,0.25,0.25\n0.2,0.3,0.5\n"
+
+
+@pytest.mark.parametrize("files, argv, expected", [
+    pytest.param({"m.csv": b"\xff\xfe0.5,0.5\n0.5,0.5\n"}, ["tau", "m.csv"], 2,
+                 id="non-utf8-matrix"),
+    pytest.param({"s.json": b"\xff" + SEQ22_JSON.encode()}, ["certify", "s.json"], 2,
+                 id="non-utf8-sequence"),
+    pytest.param({"m.json": '{"rows": 1, "cols": 1, "data": 5}'}, ["tau", "m.json"], 2,
+                 id="scalar-data"),
+    pytest.param({"m.json": '{"rows": 1, "cols": 1, "data": null}'}, ["tau", "m.json"], 2,
+                 id="null-data"),
+    pytest.param({"m.json": "[[[0.5, 0.5]], [[0.5, 0.5]]]"}, ["tau", "m.json"], 2, id="3-d-list"),
+    pytest.param({"m.json": '{"rows": 1, "cols": 1.5, "data": [1.0]}'}, ["tau", "m.json"], 2,
+                 id="fractional-cols"),
+    pytest.param({"m.csv": "0.5,0.5\n\n0.25,0.75\n"}, ["tau", "m.csv"], 0, id="csv-blank-line"),
+    pytest.param({"m.csv": ""}, ["tau", "m.csv"], 2, id="empty-csv"),
+    pytest.param({"m.json": '{"rows": 1, "cols": 1}'}, ["tau", "m.json"], 2, id="no-data"),
+    pytest.param({"m.json": '{"rows": 0, "cols": 1, "data": []}'}, ["tau", "m.json"], 2,
+                 id="zero-rows"),
+    pytest.param({"m.json": '{"rows": 1, "cols": 1, "data": ["a"]}'}, ["tau", "m.json"], 2,
+                 id="non-numeric-object-data"),
+    pytest.param({"m.json": "[]"}, ["tau", "m.json"], 2, id="empty-list"),
+    pytest.param({"m.json": "[1, 2]"}, ["tau", "m.json"], 2, id="flat-list"),
+    pytest.param({"m.json": '[["a"]]'}, ["tau", "m.json"], 2, id="non-numeric-list"),
+    pytest.param({"m.json": "5"}, ["tau", "m.json"], 2, id="json-scalar"),
+    pytest.param({"m.json": "[[0.5,"}, ["tau", "m.json"], 2, id="matrix-bad-json"),
+    pytest.param({"m.csv": A22_CSV, "v.csv": A22_CSV}, ["tau", "m.csv", "--anchor", "file:v.csv"],
+                 2, id="matrix-as-anchor"),
+    pytest.param({}, ["certify", "missing.json"], 2, id="certify-missing-path"),
+    pytest.param({"s.json": "[[[0.5, 0.5]"}, ["certify", "s.json"], 2, id="sequence-bad-json"),
+    pytest.param({"s.json": "[]"}, ["certify", "s.json"], 2, id="empty-sequence"),
+    pytest.param({"s.json": SEQ22_JSON, "x0.csv": "1.0,0.0,0.0\n"},
+                 ["certify", "s.json", "--x0", "x0.csv"], 3, id="x0-length"),
+    pytest.param({"m.csv": A23_CSV}, ["rho-ess", "m.csv"], 3, id="rho-ess-non-square"),
+    pytest.param({"m.csv": A23_CSV}, ["mixing", "m.csv", "--eps", "0.1"], 3,
+                 id="mixing-non-square"),
+])
+def test_input_refusals_exit_with_one_message(files, argv, expected, tmp_path, capsys,
+                                              monkeypatch):
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == expected
+    if expected == 0:
+        assert err == "" and json.loads(out)["result"]["value"] == 0.25
+    else:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("ergo: ")
+
+
 def test_verify_command_and_determinism(capsys):
     code = main(["verify", "--suite", "incidence", "--trials", "8", "--seed", "7"])
     out1 = capsys.readouterr().out

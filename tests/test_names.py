@@ -1,6 +1,7 @@
 """Name guards over `src/ergo`, with the stdlib only (no linter): every global
-a function reads must be an attribute of its module or a builtin, and every
-module-level import must be read in its module."""
+a function reads must be an attribute of its module or a builtin, every
+module-level import must be read in its module, and every parameter of a
+function must be read in its body."""
 
 import ast
 import builtins
@@ -64,3 +65,20 @@ def test_module_imports_are_read():
                 bound = (a.asname or a.name for a in node.names)
                 unused.extend(f"{path.stem}.{b}" for b in bound if b not in read)
     assert unused == []
+
+
+def test_function_parameters_are_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            # a read in a nested function counts
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread.extend(f"{path.stem}.{fn.name}({arg.arg})" for arg in params
+                          if arg.arg not in read)
+    assert unread == []
