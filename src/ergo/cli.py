@@ -30,9 +30,12 @@ from .verify import SUITES, run_suite
 def _env_seed():
     raw = os.environ.get("ERGO_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise InputFormatError(f"ERGO_SEED must be an integer, got {raw!r}")
+    if seed < 0:
+        raise InputFormatError(f"ERGO_SEED must be non-negative, got {raw!r}")
+    return seed
 
 
 def _resolve_anchor(spec, M):
@@ -167,6 +170,8 @@ def cmd_certify(args):
 def cmd_verify(args):
     if args.trials is not None and args.trials < 1:
         raise InputFormatError("--trials must be at least 1")
+    if args.seed < 0:
+        raise InputFormatError("--seed must be non-negative")
     report = run_suite(args.suite, args.trials, args.seed)
     residuals = {
         f"{name}_residual": check["max_residual"]

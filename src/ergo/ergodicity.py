@@ -103,14 +103,18 @@ def _tau_l1(v, As):
     2^-508 max_i ||A_i||_1: such a row's term with the largest |v_j| is
     ||A_i||_1 to that accuracy, and no pair term exceeds the larger norm of
     its two rows.  With a +-1 anchor the divisions are exact and the terms
-    are the row distances halved.  The distances of the stack fill one
-    (K, m, m) table, divided once by the table of w_i + w_j.
+    are the row distances halved.  Each matrix is first scaled by the power
+    of two that puts its max |A| in [0.5, 1), and its value scaled back, so
+    that A / v does not overflow near the top of the float range.  The
+    distances of the stack fill one (K, m, m) table, divided once by the
+    table of w_i + w_j.
     """
-    # row-major storage makes every row sum, down to the last bit,
-    # independent of how the caller laid A out
-    As = np.ascontiguousarray(As)
-    # a power of two puts max |v| in [0.5, 1) and changes no bit of a term
+    # powers of two change no bit of a term; the scaled copy is row-major,
+    # which makes every row sum, down to the last bit, independent of how
+    # the caller laid A out
     v = np.ldexp(v, -math.frexp(np.maximum.reduce(np.abs(v)))[1])
+    exps = np.frexp(np.maximum.reduce(np.abs(As), axis=(1, 2), initial=0.0))[1]
+    As = np.ldexp(As, -exps[:, None, None], order="C")
     free = np.abs(v) < 2.0 ** -512
     d = np.where(free, np.inf, v)
     Hs = As / d[:, None]
@@ -129,8 +133,9 @@ def _tau_l1(v, As):
         np.add.reduce(np.abs(diff, out=diff), axis=3, out=dist[ks, i0:i1, i0 + 1:])
     dist /= w[:, None] + w
     rownorm1 = np.add.reduce(np.abs(As), axis=2)
-    return np.maximum(np.maximum.reduce(dist, axis=(1, 2), initial=0.0),
-                      np.maximum.reduce(rownorm1, axis=1, where=free, initial=0.0))
+    return np.ldexp(np.maximum(np.maximum.reduce(dist, axis=(1, 2), initial=0.0),
+                               np.maximum.reduce(rownorm1, axis=1, where=free, initial=0.0)),
+                    exps)
 
 
 def _stack_chunks(K, m, n):

@@ -13,14 +13,16 @@ and neither these nor its vector seminorms read its n(n-1) x n matrix.
 
 Psi_q(v, A) = min_c ||A - v c^T||_q is a closed form at q = 2 and the
 weighted medians of `ergodicity._column_medians` at q = 1.  At q = inf it is
-an LP over convex combinations of each column's kinks, solved by column
-generation: the same medians, at the master's dual weights, price every
-column and certify the value by weak duality.
+an LP over convex combinations of each column's kinks, clipped into a box
+that holds a minimizer, solved by column generation on one HiGHS model per
+call: the same medians, at the master's dual weights, price every column and
+certify the value by weak duality.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,12 @@ MASTER_ALL_KINKS = 1 << 15
 #: how far below its convexity dual a column must price, in the units of the
 #: master's matrix scaled into [0.5, 1)
 PRICING_TOL = 1e-12
+#: HiGHS settings of the Psi_inf master: primal simplex, as added columns
+#: keep the last basis primal feasible; presolve shrinks the master little
+#: and costs more set-up time than it saves
+_MASTER_OPTIONS = (("output_flag", False), ("solver", "simplex"), ("simplex_strategy", 4),
+                   ("presolve", "off"), ("primal_feasibility_tolerance", LP_TOL),
+                   ("dual_feasibility_tolerance", LP_TOL))
 
 
 class SeminormWeight:
@@ -259,80 +267,134 @@ def _deflation_value(v, A, c, q):
     return induced_pnorm(A - np.outer(v, c), q)
 
 
+def _highs():
+    """scipy's bundled HiGHS bindings, the module that holds `_Highs`.
+
+    Imported here and nowhere else, on the first Psi_inf call, so that
+    `import ergo` does not load the LP stack; the module is private to
+    scipy, and releases before 1.17 are not known to ship it.
+    """
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        _core = None
+    if not hasattr(_core, "_Highs"):
+        raise ImportError("Psi_inf needs scipy >= 1.17, whose "
+                          "scipy.optimize._highspy._core holds the HiGHS model class _Highs")
+    return _core
+
+
 def _deflate_linf(v, A):
     """A minimizer c of max_i ||A_i - v_i c||_1, and the weak-duality lower
     bound on that minimum at the last dual weights.
 
     Column j of A - v c^T is convex and piecewise linear in c_j, with kinks
-    mu = A_kj / v_k over the rows with v_k != 0, so the minimum is the LP
-    over convex combinations of kinks,
+    mu = A_kj / v_k over the rows with v_k != 0.  With r the row of largest
+    |v_r| and V0 the value at c_proj = A^T v / ||v||^2, every minimizer has
+    |A_rj - v_r c_j| <= V0, so c_j lies in the box [lo_j, hi_j] around
+    A_rj / v_r; a kink outside it is moved to the box end, where the column
+    is still linear.  The minimum is then the LP over convex combinations of
+    these points,
 
         min t  s.t.  sum_{(j, mu) in K} y_{j,mu} |A_ij - mu v_i| <= t  (rows i),
                      sum_mu y_{j,mu} = 1  (columns j),  y >= 0,
 
     solved by column generation.  A master on a set K of (j, mu) columns
-    gives row duals lam (weights on the simplex) and convexity duals s_j;
-    `_column_medians` at the weights lam prices every column at once, its
-    best kink mu_j costing h_j = min_mu sum_i lam_i |A_ij - mu v_i|, and each
-    (j, mu_j) with h_j below s_j joins K.  No column joins twice, so the loop
-    ends after at most the total number of kinks.  sum_j h_j / sum lam is a
-    lower bound on the minimum for every lam >= 0, and the returned one is
-    that of the last master.  K starts as every kink when the master holds at
-    most MASTER_ALL_KINKS entries (one LP is then the whole solve), else as
-    each column's median kink under the weights |v_i|, the Psi_1 minimizer.
-    Each master's matrix is divided by a power of two that puts its largest
-    entry in [0.5, 1), which keeps the LP tolerances relative and the solve
+    gives row duals lam (weights on the simplex, as t is free) and convexity
+    duals s_j.  `_column_medians` at the weights lam prices every column at
+    once: its median, clipped into the box, costs h_j = min_{mu in box}
+    sum_i lam_i |A_ij - mu v_i|, and each (j, mu_j) with h_j below s_j joins
+    K.  No column joins twice, so the loop ends.  sum_j h_j / sum lam is a
+    lower bound on the minimum for every lam >= 0, because the box holds a
+    minimizer; the returned one is that of the last master.  K starts as
+    every point when the master holds at most MASTER_ALL_KINKS entries (one
+    LP is then the whole solve), else as the Psi_1 minimizer, the medians
+    under the weights |v_i|.
+
+    The master is one HiGHS model per call: each round adds its priced
+    columns in place, and primal simplex restarts from the last basis,
+    which stays primal feasible.  Powers of two first put max |A| and
+    max |v| in [0.5, 1), so nothing below overflows; then one more, fixed
+    for the call, puts the largest entry a box point can give, at lo or at
+    hi, in [0.5, 1).  That keeps the LP tolerances relative and the solve
     exact under scaling A by a power of two.  The minimizer is
     c_j = sum_mu y_{j,mu} mu; by convexity its value is at most t.
     """
-    # the LP stack is loaded on first use, so `import ergo` does not pay for it
-    import scipy.optimize
-    import scipy.sparse
-
+    core = _highs()
     m, n = A.shape
+    # no bit moves: every quantity below is the unscaled one times a power of two
+    ea = math.frexp(np.max(np.abs(A)))[1]
+    ev = math.frexp(np.max(np.abs(v)))[1]
+    A, v = np.ldexp(A, -ea), np.ldexp(v, -ev)
+    r = int(np.argmax(np.abs(v)))
+    V0 = _deflation_value(v, A, A.T @ v / float(v @ v), INF)
+    lo, hi = A[r] / v[r] - V0 / abs(v[r]), A[r] / v[r] + V0 / abs(v[r])
+    exp = math.frexp(np.max(np.maximum(np.abs(A - v[:, None] * lo),
+                                       np.abs(A - v[:, None] * hi))))[1]
     nz = v != 0.0
-    kinks = A[nz] / v[nz, None]  # kinks[k, j] is the kink of row k in column j
+    # kinks[k, j] is the kink of row k in column j, clipped into the box
+    kinks = np.clip(A[nz] / v[nz, None], lo, hi)
+
+    master = core._Highs()
+    for option, value in _MASTER_OPTIONS:
+        master.setOptionValue(option, value)
+    master.addRows(m + n, np.r_[np.full(m, -core.kHighsInf), np.ones(n)],
+                   np.r_[np.zeros(m), np.ones(n)], 0, np.zeros(m + n, np.int32),
+                   np.zeros(0, np.int32), np.zeros(0))
+    # column 0 is the free t, of cost 1, with -1 in every row i
+    master.addCols(1, np.ones(1), np.full(1, -core.kHighsInf), np.full(1, core.kHighsInf), m,
+                   np.zeros(1, np.int32), np.arange(m, dtype=np.int32), -np.ones(m))
+
+    def add(new):
+        js, mus = (np.array(x) for x in zip(*new))
+        N = len(new)
+        D = np.zeros((m + n, N))
+        D[:m] = np.ldexp(np.abs(A[:, js] - v[:, None] * mus), -exp)
+        D[m + js, np.arange(N)] = 1.0
+        ks, rows = np.nonzero(D.T)
+        starts = np.searchsorted(ks, np.arange(N)).astype(np.int32)
+        master.addCols(N, np.zeros(N), np.zeros(N), np.full(N, core.kHighsInf), len(ks), starts,
+                       rows.astype(np.int32), D[rows, ks])
+
     if m * n * len(kinks) <= MASTER_ALL_KINKS:
         cols = [(j, mu) for j in range(n) for mu in np.unique(kinks[:, j])]
     else:
         _, (mus,) = _column_medians(v, A[None])
-        cols = list(enumerate(mus))
+        cols = list(enumerate(np.clip(mus, lo, hi)))
     known = set(cols)
+    add(cols)
     while True:
-        js, mus = (np.array(x) for x in zip(*cols))
-        N = len(cols)
-        M = np.abs(A[:, js] - v[:, None] * mus)
-        exp = int(np.frexp(np.max(M, initial=0.0))[1])
-        A_ub = np.hstack([np.ldexp(M, -exp), -np.ones((m, 1))])
-        A_eq = scipy.sparse.coo_array((np.ones(N), (js, np.arange(N))), shape=(n, N + 1))
-        obj = np.zeros(N + 1)
-        obj[N] = 1.0
-        # t is free, so the row duals sum to 1; presolve shrinks the master
-        # little and costs more set-up time than it saves
-        res = scipy.optimize.linprog(obj, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq,
-                                     b_eq=np.ones(n), bounds=[(0.0, None)] * N + [(None, None)],
-                                     method="highs-ds",
-                                     options={"presolve": False,
-                                              "primal_feasibility_tolerance": LP_TOL,
-                                              "dual_feasibility_tolerance": LP_TOL})
-        if res.status != 0:
-            raise CrossCheckError(f"deflation LP failed: {res.message}")
-        lam = np.maximum(-res.ineqlin.marginals, 0.0)
-        s = np.ldexp(res.eqlin.marginals, exp)
-        (h,), (best,) = _column_medians(lam * v, (lam[:, None] * A)[None])
-        bound = float(np.sum(h)) / float(np.sum(lam))
-        priced = np.flatnonzero(h < s - np.ldexp(PRICING_TOL, exp))
+        master.run()
+        status = master.getModelStatus()
+        if status != core.HighsModelStatus.kOptimal:
+            raise CrossCheckError(f"deflation LP failed: {master.modelStatusToString(status)}")
+        solution = master.getSolution()
+        duals = np.asarray(solution.row_dual)
+        lam = np.maximum(-duals[:m], 0.0)
+        s = np.ldexp(duals[m:], exp)
+        w, X = lam * v, lam[:, None] * A
+        (cost,), (best,) = _column_medians(w, X[None])
+        # the box minimum is the median clipped into the box, evaluated as
+        # `_column_medians` evaluates the median
+        clipped = np.clip(best, lo, hi)
+        moved = np.flatnonzero(clipped != best)
+        rows = np.ascontiguousarray(X[:, moved].T)
+        cost[moved] = np.add.reduce(np.abs(rows - clipped[moved, None] * w), axis=1)
+        bound = float(np.sum(cost)) / float(np.sum(lam))
+        priced = np.flatnonzero(cost < s - np.ldexp(PRICING_TOL, exp))
         # the median of lam_k A_kj / (lam_k v_k) can be an ulp off its kink
-        rows = np.argmin(np.abs(kinks[:, priced] - best[priced]), axis=0)
-        best[priced] = kinks[rows, priced]
-        new = [(j, best[j]) for j in priced if (j, best[j]) not in known]
+        nearest = np.argmin(np.abs(kinks[:, priced] - clipped[priced]), axis=0)
+        clipped[priced] = kinks[nearest, priced]
+        new = [(j, clipped[j]) for j in priced if (j, clipped[j]) not in known]
         if not new:
             break
         cols += new
         known.update(new)
-    y = np.maximum(res.x[:N], 0.0)
+        add(new)
+    js, mus = (np.array(x) for x in zip(*cols))
+    y = np.maximum(np.asarray(solution.col_value)[1:], 0.0)
     c = np.bincount(js, weights=y * mus, minlength=n) / np.bincount(js, weights=y, minlength=n)
-    return c, bound
+    return np.ldexp(c, ea - ev), math.ldexp(bound, ea)
 
 
 def deflated_norm(v, A, q):
@@ -348,7 +410,8 @@ def deflated_norm(v, A, q):
     the one attained at `c_star`, and it is certified by weak duality: it
     exceeds `bound`, the lower bound that `_column_medians` gives at the last
     master's dual weights, by at most 1e-9 max(1, value), or
-    `CrossCheckError` is raised.  `bound` is None for q in {1, 2}.
+    `CrossCheckError` is raised; the `bound` returned is never above the
+    value.  `bound` is None for q in {1, 2}.
     """
     v, A = _anchored(v, A)
     q = as_pnorm(q)
@@ -373,7 +436,9 @@ def deflated_norm(v, A, q):
     if value - bound > DUALITY_GAP_TOL * max(1.0, value):
         raise CrossCheckError(
             f"Psi_inf value {value!r} exceeds its duality bound {bound!r}")
-    return DeflationResult(value, c, q, bound)
+    # at the optimum both are Psi up to rounding, and either can come out
+    # an ulp above the other; a lower bound may always be lowered
+    return DeflationResult(value, c, q, min(bound, value))
 
 
 def lmi_l2(A, P):

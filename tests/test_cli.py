@@ -287,6 +287,8 @@ A23_CSV = "0.5,0.25,0.25\n0.2,0.3,0.5\n"
     pytest.param({"m.csv": A23_CSV}, ["rho-ess", "m.csv"], 3, id="rho-ess-non-square"),
     pytest.param({"m.csv": A23_CSV}, ["mixing", "m.csv", "--eps", "0.1"], 3,
                  id="mixing-non-square"),
+    pytest.param({}, ["verify", "--suite", "mixing", "--trials", "1", "--seed", "-1"], 2,
+                 id="verify-negative-seed"),
 ])
 def test_input_refusals_exit_with_one_message(files, argv, expected, tmp_path, capsys,
                                               monkeypatch):
@@ -339,6 +341,15 @@ def test_invalid_env_seed_exits_2(monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "ergo: ERGO_SEED must be an integer, got 'abc'\n"
+
+
+def test_negative_env_seed_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("ERGO_SEED", "-3")
+    code = main(["verify", "--suite", "mixing", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "ergo: ERGO_SEED must be non-negative, got '-3'\n"
 
 
 def test_cached_parser_carries_no_state(a22, capsys):

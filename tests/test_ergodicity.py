@@ -377,3 +377,16 @@ def test_stacked_kernels_match_stacks_of_one():
                     alone = _column_medians(v, As[k][None])
                     assert values[k].tobytes() == alone[0][0].tobytes()
                     assert mus[k].tobytes() == alone[1][0].tobytes()
+
+
+def test_tau1_near_the_top_of_the_float_range():
+    # A / v overflowed once max |A| passed half the float maximum (inf on
+    # the first matrix, nan on the second); each matrix of a stack is scaled
+    # by its own power of two
+    huge = np.finfo(float).max / 2.0
+    for A, expected in ((1e308 * np.eye(2), 1e308), (1e308 * np.ones((2, 2)), 0.0),
+                        (np.array([[huge, -huge], [-huge, huge]]), 2.0 * huge)):
+        assert tau(np.ones(2), A, 1).value == expected
+    assert tau(np.array([1.0, -0.5]), 1e308 * np.eye(2), 1).value == pytest.approx(1e308, rel=1e-15)
+    stack = np.stack([1e308 * np.eye(2), np.eye(2)])
+    assert [float(x) for x in _tau_l1(np.ones(2), stack)] == [1e308, 1.0]

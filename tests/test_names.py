@@ -1,7 +1,8 @@
 """Name guards over `src/ergo`, with the stdlib only (no linter): every global
 a function reads must be an attribute of its module or a builtin, every
-module-level import must be read in its module, and every parameter of a
-function must be read in its body."""
+module-level import must be read in its module, every parameter of a
+function must be read in its body, and one function alone imports a private
+scipy module."""
 
 import ast
 import builtins
@@ -82,3 +83,34 @@ def test_function_parameters_are_read():
             unread.extend(f"{path.stem}.{fn.name}({arg.arg})" for arg in params
                           if arg.arg not in read)
     assert unread == []
+
+
+def _private_scipy(module):
+    parts = module.split(".")
+    return parts[0] == "scipy" and any(part.startswith("_") for part in parts[1:])
+
+
+def test_one_function_imports_private_scipy():
+    # HiGHS's model class is private to scipy; `seminorm._highs` imports it
+    # and names the scipy release it needs when it is missing
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = [(path.stem, tree)] + [
+            (f"{path.stem}.{fn.name}", fn) for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for name, scope in scopes:
+            # a scope's own statements, not those of the functions it defines
+            stack, modules = list(ast.iter_child_nodes(scope)), []
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if isinstance(node, ast.Import):
+                    modules += [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                    modules += [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                stack.extend(ast.iter_child_nodes(node))
+            if any(_private_scipy(module) for module in modules):
+                importers.append(name)
+    assert importers == ["seminorm._highs"]

@@ -426,15 +426,22 @@ def test_psi_inf_certificate_rejects_a_suboptimal_minimizer(monkeypatch):
         deflated_norm(np.ones(6), M, INF)
 
 
-def _count_linprog(monkeypatch):
-    calls = []
-    linprog = scipy.optimize.linprog
+def _count_masters(monkeypatch):
+    """Record each HiGHS model `_deflate_linf` builds and each master solve:
+    `models` grows by one per model, `calls` by one per `run`."""
+    from scipy.optimize._highspy import _core
+    calls, models = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return linprog(*args, **kwargs)
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
-    return calls
+    class Counted(_core._Highs):
+        def __init__(self):
+            super().__init__()
+            models.append(1)
+
+        def run(self):
+            calls.append(1)
+            return super().run()
+    monkeypatch.setattr(_core, "_Highs", Counted)
+    return calls, models
 
 
 def test_psi_inf_both_starts_match_literal_primal_lp(monkeypatch):
@@ -443,7 +450,7 @@ def test_psi_inf_both_starts_match_literal_primal_lp(monkeypatch):
     # the certificate's weak-duality bound at the last master
     import ergo.seminorm as seminorm
     local = np.random.default_rng(41)
-    calls = _count_linprog(monkeypatch)
+    calls, _ = _count_masters(monkeypatch)
     for m, n in ((6, 6), (9, 14)):
         for v, A in _anchor_cases(local, m, n):
             expected = _primal_lp_psi_inf(v, A)
@@ -462,7 +469,7 @@ def test_psi_inf_both_starts_match_literal_primal_lp(monkeypatch):
 
 def test_psi_inf_small_inputs_take_one_lp(monkeypatch):
     local = np.random.default_rng(43)
-    calls = _count_linprog(monkeypatch)
+    calls, _ = _count_masters(monkeypatch)
     for n in range(2, 7):
         for v, A in _anchor_cases(local, n, n):
             calls.clear()
@@ -475,11 +482,35 @@ def test_psi_inf_column_generation_on_a_120_state_chain(monkeypatch):
     local = np.random.default_rng(47)
     M = local.uniform(0.0, 1.0, (120, 120)) + 0.02
     M /= M.sum(axis=1, keepdims=True)
-    calls = _count_linprog(monkeypatch)
+    calls, models = _count_masters(monkeypatch)
     res = deflated_norm(np.ones(120), M, INF)
     assert len(calls) > 1
+    assert len(models) == 1
     assert 0.0 <= res.value - res.bound <= 1e-9 * max(1.0, res.value)
     _assert_psi_inf_minimum(np.ones(120), M, res, local)
+
+
+def test_psi_inf_names_the_scipy_floor_without_highs(monkeypatch):
+    from scipy.optimize._highspy import _core
+    monkeypatch.delattr(_core, "_Highs")
+    with pytest.raises(ImportError, match=r"scipy >= 1\.17"):
+        deflated_norm(np.ones(3), np.eye(3), INF)
+
+
+def test_psi_inf_certifies_anchors_over_many_orders_of_magnitude():
+    # kinks A_kj / v_k of rows with |v_k| = 1e-12 reach 1e12; clipped into
+    # the box that holds a minimizer, they no longer swamp the master's scale
+    local = np.random.default_rng(2)
+    for m in (8, 20):
+        for k in (4, 8, 12):
+            v = local.choice([-1.0, 1.0], m) * np.logspace(-k, 0, m)
+            local.shuffle(v)
+            A = local.uniform(-1.0, 1.0, (m, m))
+            res = deflated_norm(v, A, INF)
+            expected = _primal_lp_psi_inf(v, A)
+            assert abs(res.value - expected) <= 1e-9 * max(1.0, expected)
+            assert 0.0 <= res.value - res.bound <= 1e-9 * max(1.0, res.value)
+            assert res.value == induced_pnorm(A - np.outer(v, res.c_star), INF)
 
 
 @pytest.mark.parametrize("q", [1, INF])
@@ -488,7 +519,7 @@ def test_deflated_norm_is_scale_free(q):
     # the value scales exactly and stays attained at c_star; this holds
     # only with a tie-break toward c_proj relative to the value
     local = np.random.default_rng(53)
-    for m, n in ((3, 3), (5, 4), (4, 6)):
+    for m, n in ((3, 3), (5, 4), (4, 6), (40, 40)):
         for v, A in _anchor_cases(local, m, n):
             base = deflated_norm(v, A, q).value
             for k in (-600, -40, 40, 600):
