@@ -7,7 +7,7 @@ from .errors import CrossCheckError, ErgoError, InputFormatError, PreconditionEr
 from .linalg import (INF, PNORMS, StochasticMatrix, as_distribution, as_matrix,
                      as_pnorm, as_vector, conjugate_pnorm, dominant_pair,
                      eigendecompose, incidence_complete, induced_pnorm,
-                     oblique_projector, orthogonal_projector, agreement_projector)
+                     oblique_projector, orthogonal_projector)
 from .ergodicity import ErgodicityResult, dobrushin, tau, tau_oblique
 from .seminorm import (DeflationResult, SeminormWeight, deflated_norm,
                        induced_seminorm, kernel_invariance_residual, lmi_l2,
@@ -26,7 +26,7 @@ __all__ = [
     "INF", "PNORMS", "StochasticMatrix", "as_distribution", "as_matrix",
     "as_pnorm", "as_vector", "conjugate_pnorm", "dominant_pair",
     "eigendecompose", "incidence_complete", "induced_pnorm",
-    "oblique_projector", "orthogonal_projector", "agreement_projector",
+    "oblique_projector", "orthogonal_projector",
     "ErgodicityResult", "dobrushin", "tau", "tau_oblique",
     "DeflationResult", "SeminormWeight", "deflated_norm", "induced_seminorm",
     "kernel_invariance_residual", "lmi_l2", "vector_seminorm",

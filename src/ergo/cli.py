@@ -75,6 +75,8 @@ _WEIGHT_CHOICES = "pv:<vector-file>, qw, agreement, incidence, factored:<matrix-
 
 def _resolve_weight(spec, M, anchor_spec):
     n = M.shape[0]
+    if anchor_spec != "ones" and not spec.startswith("factored:"):
+        raise InputFormatError("--anchor applies only to the factored weight")
     if spec == "agreement":
         return SeminormWeight.agreement(n)
     if spec == "incidence":

@@ -28,6 +28,8 @@ Exact closed forms for p in {1, 2, inf}:
 Each kernel takes a stack As of K matrices (K, m, n) sharing one anchor and
 returns K values, so a time-varying sequence or a run of matrix powers is
 one call; `tau` is the stack of one, with the same bits for each matrix.
+Every call passes `_tau_values`, which scales v and each matrix by powers of
+two into [0.5, 1) and the values back, so no kernel minds the float range.
 
 The widely quoted projector formula ||P_v A||_q (q conjugate to p) is only an
 upper bound for p != 2; the `verify` suites measure its gap against these
@@ -36,7 +38,6 @@ exact values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +93,8 @@ def _pair_blocks(K, m, n):
 
 def _tau_l1(v, As):
     """tau_1(v, A) for every matrix A of the stack As: one pair kernel for
-    every anchor.
+    every anchor, on the row-major pair `_scaled` gives, max |v| in
+    [0.5, 1).
 
     With H = A / v (rows A_i / v_i) and w = 1 / |v|, v_j A_i - v_i A_j =
     v_i v_j (H_i - H_j), so a pair term is ||H_i - H_j||_1 / (w_i + w_j);
@@ -103,18 +105,9 @@ def _tau_l1(v, As):
     2^-508 max_i ||A_i||_1: such a row's term with the largest |v_j| is
     ||A_i||_1 to that accuracy, and no pair term exceeds the larger norm of
     its two rows.  With a +-1 anchor the divisions are exact and the terms
-    are the row distances halved.  Each matrix is first scaled by the power
-    of two that puts its max |A| in [0.5, 1), and its value scaled back, so
-    that A / v does not overflow near the top of the float range.  The
-    distances of the stack fill one (K, m, m) table, divided once by the
-    table of w_i + w_j.
+    are the row distances halved.  The distances of the stack fill one
+    (K, m, m) table, divided once by the table of w_i + w_j.
     """
-    # powers of two change no bit of a term; the scaled copy is row-major,
-    # which makes every row sum, down to the last bit, independent of how
-    # the caller laid A out
-    v = np.ldexp(v, -math.frexp(np.maximum.reduce(np.abs(v)))[1])
-    exps = np.frexp(np.maximum.reduce(np.abs(As), axis=(1, 2), initial=0.0))[1]
-    As = np.ldexp(As, -exps[:, None, None], order="C")
     free = np.abs(v) < 2.0 ** -512
     d = np.where(free, np.inf, v)
     Hs = As / d[:, None]
@@ -133,9 +126,8 @@ def _tau_l1(v, As):
         np.add.reduce(np.abs(diff, out=diff), axis=3, out=dist[ks, i0:i1, i0 + 1:])
     dist /= w[:, None] + w
     rownorm1 = np.add.reduce(np.abs(As), axis=2)
-    return np.ldexp(np.maximum(np.maximum.reduce(dist, axis=(1, 2), initial=0.0),
-                               np.maximum.reduce(rownorm1, axis=1, where=free, initial=0.0)),
-                    exps)
+    return np.maximum(np.maximum.reduce(dist, axis=(1, 2), initial=0.0),
+                      np.maximum.reduce(rownorm1, axis=1, where=free, initial=0.0))
 
 
 def _stack_chunks(K, m, n):
@@ -190,19 +182,39 @@ def _tau_l2(v, As):
     return np.linalg.norm(orthogonal_projector(v) @ As, 2, axis=(1, 2))
 
 
+def _scaled(v, As):
+    """v and the stack As (K, m, n) scaled by the powers of two that put
+    max |v| and each max |A_k| in [0.5, 1), as row-major copies, and the
+    exponents ev and ea (K,) that undo it.
+
+    A power of two moves no bit of an entry that stays normal, and tau_p and
+    Psi_q are of degree one in A and zero in v, so no kernel guards its own
+    range: A / v, v v^T and A^T v cannot overflow, and a subnormal anchor
+    becomes normal.  The row-major copy makes every row sum, to the last
+    bit, independent of how the caller laid A out.
+    """
+    ev = int(np.frexp(np.maximum.reduce(np.abs(v)))[1])
+    ea = np.frexp(np.maximum.reduce(np.abs(As), axis=(1, 2), initial=0.0))[1]
+    return np.ldexp(v, -ev), np.ldexp(As, -ea[:, None, None], order="C"), ev, ea
+
+
 def _tau_values(v, As, p):
     """tau_p(v, A) for every matrix A of the stack As (K, m, n), all sharing
     the anchor v, by one kernel call; p is already normalized.
 
-    Each value is bit-identical to its own `tau` call (a stack of one): every
+    The kernel runs on the pair `_scaled` gives, and each value is scaled
+    back by 2^ea.  Each value is bit-identical to its own `tau` call (a stack of one): every
     sum runs along a contiguous last axis of the same length, and every
     maximum is exact.
     """
+    v, As, _, ea = _scaled(v, As)
     if p == 1:
-        return _tau_l1(v, As)
-    if p == INF:
-        return _column_medians(v, As)[0].max(axis=1, initial=0.0)
-    return _tau_l2(v, As)
+        values = _tau_l1(v, As)
+    elif p == INF:
+        values = _column_medians(v, As)[0].max(axis=1, initial=0.0)
+    else:
+        values = _tau_l2(v, As)
+    return np.ldexp(values, ea)
 
 
 def _anchored(v, A):
@@ -251,9 +263,9 @@ def dobrushin(A):
     returned as `overlap`.
     """
     A = StochasticMatrix.of(A)
-    M = np.ascontiguousarray(A.matrix)
+    M = A.matrix
     n = A.n
-    value_half = float(_tau_l1(np.ones(n), M[None])[0])
+    value_half = float(_tau_values(np.ones(n), M[None], 1)[0])
     value_min = _overlap_form(M)
     if abs(value_half - value_min) > DOBRUSHIN_CROSS_TOL:
         raise CrossCheckError(

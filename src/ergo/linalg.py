@@ -110,13 +110,6 @@ def orthogonal_projector(v):
     return np.eye(len(v)) - np.outer(v, v) / n2
 
 
-def agreement_projector(n):
-    """Pi_n = I - 11^T/n, deviation from the coordinate average."""
-    if n < 1:
-        raise PreconditionError("dimension must be positive")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
 def oblique_projector(w):
     """Q_w = I - 1 w^T with w^T 1 = 1 within 1e-8; idempotent, kernel <1>,
     image w-perp."""

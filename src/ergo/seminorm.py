@@ -29,14 +29,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CrossCheckError, PreconditionError
-from .linalg import (INF, as_matrix, as_pnorm, as_vector, agreement_projector,
-                     induced_pnorm, oblique_projector, orthogonal_projector,
-                     _incidence_rows)
-from .ergodicity import _anchored, _column_medians, _stack_chunks, _tau_values, tau
+from .linalg import (INF, as_matrix, as_pnorm, as_vector, induced_pnorm, oblique_projector,
+                     orthogonal_projector, _incidence_rows)
+from .ergodicity import _anchored, _column_medians, _scaled, _stack_chunks, _tau_values, tau
+from .oracle import WEIGHT_DIMENSION_CAP, oracle_weighted_seminorm
 
 FACTOR_COND_LIMIT = 1e12
 KERNEL_INVARIANCE_TOL = 1e-8
-ORACLE_DIMENSION_CAP = 5
 LP_TOL = 1e-10
 DUALITY_GAP_TOL = 1e-9
 #: master entries (m n kinks) up to which `_deflate_linf` starts from every kink
@@ -83,7 +82,8 @@ class SeminormWeight:
 
     @classmethod
     def agreement(cls, n):
-        return cls("agreement", agreement_projector(n), np.ones(n), anchor=np.ones(n))
+        ones = np.ones(n)
+        return cls("agreement", orthogonal_projector(ones), ones, anchor=ones)
 
     @classmethod
     def incidence(cls, n):
@@ -199,16 +199,15 @@ def _off_closed_forms(A, weight, p, invariant):
     """The value where no closed form applies: brute force up to n <= 5,
     refused above."""
     n = weight.n
-    if n <= ORACLE_DIMENSION_CAP:
-        from .oracle import oracle_weighted_seminorm
+    if n <= WEIGHT_DIMENSION_CAP:
         return oracle_weighted_seminorm(A, weight, p).value
     if not invariant:
         raise PreconditionError(
             "weight kernel is not A-invariant; no closed form and the "
-            f"brute-force evaluator is capped at n <= {ORACLE_DIMENSION_CAP}")
+            f"brute-force evaluator is capped at n <= {WEIGHT_DIMENSION_CAP}")
     raise PreconditionError(
         f"incidence weight with p={p} has no closed form here and the "
-        f"brute-force evaluator is capped at n <= {ORACLE_DIMENSION_CAP}")
+        f"brute-force evaluator is capped at n <= {WEIGHT_DIMENSION_CAP}")
 
 
 def induced_seminorm(A, weight, p):
@@ -313,19 +312,15 @@ def _deflate_linf(v, A):
 
     The master is one HiGHS model per call: each round adds its priced
     columns in place, and primal simplex restarts from the last basis,
-    which stays primal feasible.  Powers of two first put max |A| and
-    max |v| in [0.5, 1), so nothing below overflows; then one more, fixed
-    for the call, puts the largest entry a box point can give, at lo or at
-    hi, in [0.5, 1).  That keeps the LP tolerances relative and the solve
-    exact under scaling A by a power of two.  The minimizer is
-    c_j = sum_mu y_{j,mu} mu; by convexity its value is at most t.
+    which stays primal feasible.  v and A come from `deflated_norm`'s
+    gate, max |v| and max |A| in [0.5, 1), so nothing below overflows; one
+    more power of two, fixed for the call, puts the largest entry a box
+    point can give, at lo or at hi, in [0.5, 1).  That keeps the LP
+    tolerances relative.  The minimizer is c_j = sum_mu y_{j,mu} mu; by
+    convexity its value is at most t.
     """
     core = _highs()
     m, n = A.shape
-    # no bit moves: every quantity below is the unscaled one times a power of two
-    ea = math.frexp(np.max(np.abs(A)))[1]
-    ev = math.frexp(np.max(np.abs(v)))[1]
-    A, v = np.ldexp(A, -ea), np.ldexp(v, -ev)
     r = int(np.argmax(np.abs(v)))
     V0 = _deflation_value(v, A, A.T @ v / float(v @ v), INF)
     lo, hi = A[r] / v[r] - V0 / abs(v[r]), A[r] / v[r] + V0 / abs(v[r])
@@ -394,7 +389,7 @@ def _deflate_linf(v, A):
     js, mus = (np.array(x) for x in zip(*cols))
     y = np.maximum(np.asarray(solution.col_value)[1:], 0.0)
     c = np.bincount(js, weights=y * mus, minlength=n) / np.bincount(js, weights=y, minlength=n)
-    return np.ldexp(c, ea - ev), math.ldexp(bound, ea)
+    return c, bound
 
 
 def deflated_norm(v, A, q):
@@ -409,17 +404,21 @@ def deflated_norm(v, A, q):
     the same under scaling A by a power of two.  For q = inf the value is
     the one attained at `c_star`, and it is certified by weak duality: it
     exceeds `bound`, the lower bound that `_column_medians` gives at the last
-    master's dual weights, by at most 1e-9 max(1, value), or
+    master's dual weights, by at most 1e-9 max(2^e, value), or
     `CrossCheckError` is raised; the `bound` returned is never above the
-    value.  `bound` is None for q in {1, 2}.
+    value.  `bound` is None for q in {1, 2}.  Every route runs on v and A
+    that `ergodicity._scaled` scales by 2^-ev and 2^-e into [0.5, 1); the
+    value and `bound` scale back by 2^e, and `c_star` by 2^(e - ev).
     """
     v, A = _anchored(v, A)
     q = as_pnorm(q)
+    v, (A,), ev, (ea,) = _scaled(v, A[None])
     c_proj = A.T @ v / float(v @ v)
     value_proj = _deflation_value(v, A, c_proj, q)
+    bound = None
     if q == 2:
-        return DeflationResult(value_proj, c_proj, q)
-    if q == 1:
+        c, value = c_proj, value_proj
+    elif q == 1:
         # max-column-sum objective separates per column into the weighted
         # median problems behind tau_inf
         (values,), (c,) = _column_medians(v, A[None])
@@ -428,17 +427,20 @@ def deflated_norm(v, A, q):
             c = c_proj
         # the smaller value is reported even when c_proj wins a near-tie,
         # which keeps tau_inf = Psi_1 exact
-        return DeflationResult(min(value, value_proj), c, q)
-    c, bound = _deflate_linf(v, A)
-    value = _deflation_value(v, A, c, INF)
-    if value_proj <= value * (1.0 + 1e-12):
-        c, value = c_proj, value_proj
-    if value - bound > DUALITY_GAP_TOL * max(1.0, value):
-        raise CrossCheckError(
-            f"Psi_inf value {value!r} exceeds its duality bound {bound!r}")
-    # at the optimum both are Psi up to rounding, and either can come out
-    # an ulp above the other; a lower bound may always be lowered
-    return DeflationResult(value, c, q, min(bound, value))
+        value = min(value, value_proj)
+    else:
+        c, bound = _deflate_linf(v, A)
+        value = _deflation_value(v, A, c, INF)
+        if value_proj <= value * (1.0 + 1e-12):
+            c, value = c_proj, value_proj
+        if value - bound > DUALITY_GAP_TOL * max(1.0, value):
+            raise CrossCheckError(
+                f"Psi_inf value {float(np.ldexp(value, ea))!r} exceeds its duality "
+                f"bound {float(np.ldexp(bound, ea))!r}")
+        # at the optimum both are Psi up to rounding, and either can come out
+        # an ulp above the other; a lower bound may always be lowered
+        bound = float(np.ldexp(min(bound, value), ea))
+    return DeflationResult(float(np.ldexp(value, ea)), np.ldexp(c, ea - ev), q, bound)
 
 
 def lmi_l2(A, P):

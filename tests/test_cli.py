@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ergo import tau
 from ergo.cli import main
 
 A22_CSV = "0.5,0.5\n0.25,0.75\n"
@@ -126,6 +127,19 @@ def test_tau_file_anchor_matches_oracle(tmp_path, capsys):
     assert code == 0
     assert abs(report["result"]["value"] - oracle_tau(v, M, 1).value) <= 1e-9
     assert "dobrushin" not in report["result"]
+
+
+def test_tau_file_anchor_far_below_one(tmp_path, capsys):
+    # v v^T underflowed in P_v at 2^-540 and the projector anchor was
+    # refused; the anchor's scale moves no bit of tau
+    local = np.random.default_rng(0)
+    B = local.uniform(-1.0, 1.0, (5, 5))
+    v = local.standard_normal(5)
+    a = _write_csv(tmp_path / "b.csv", B)
+    f = _write_csv(tmp_path / "v.csv", np.ldexp(v, -540))
+    code, report = run_cli(capsys, "tau", str(a), "--p", "2", "--anchor", f"file:{f}")
+    assert code == 0
+    assert report["result"]["value"] == tau(v, B, 2).value
 
 
 def test_tau_non_chain_has_no_dobrushin_block(tmp_path, capsys):
@@ -289,6 +303,9 @@ A23_CSV = "0.5,0.25,0.25\n0.2,0.3,0.5\n"
                  id="mixing-non-square"),
     pytest.param({}, ["verify", "--suite", "mixing", "--trials", "1", "--seed", "-1"], 2,
                  id="verify-negative-seed"),
+    pytest.param({"m.csv": A22_CSV, "v.csv": "1.0,2.0\n"},
+                 ["seminorm", "m.csv", "--weight", "agreement", "--anchor", "file:v.csv"], 2,
+                 id="seminorm-anchor-without-factored"),
 ])
 def test_input_refusals_exit_with_one_message(files, argv, expected, tmp_path, capsys,
                                               monkeypatch):

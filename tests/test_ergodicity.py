@@ -6,7 +6,7 @@ from ergo import (INF, CrossCheckError, PreconditionError, StochasticMatrix,
                   deflated_norm, dobrushin, dominant_pair, induced_pnorm,
                   oracle_tau, tau, tau_oblique)
 from ergo.ergodicity import (BLOCK_ENTRIES, _column_medians, _overlap_form, _pair_blocks,
-                             _tau_l1, _tau_values)
+                             _tau_values)
 
 rng = np.random.default_rng(7)
 
@@ -343,8 +343,8 @@ def test_blocked_pair_kernels_match_per_row_loop():
                          (local.standard_normal(m), local.standard_normal((m, n))),
                          (signs, local.standard_normal((m, n)))):
                 expected = repr(_per_row_tau1(v, A))
-                assert repr(float(_tau_l1(v, A[None])[0])) == expected
-                assert repr(float(_tau_l1(v, np.asfortranarray(A)[None])[0])) == expected
+                assert repr(float(_tau_values(v, A[None], 1)[0])) == expected
+                assert repr(float(_tau_values(v, np.asfortranarray(A)[None], 1)[0])) == expected
             M = local.uniform(0.0, 1.0, (m, n)) ** 3
             M[local.random((m, n)) < 0.4] = 0.0
             M += 1e-3
@@ -389,4 +389,17 @@ def test_tau1_near_the_top_of_the_float_range():
         assert tau(np.ones(2), A, 1).value == expected
     assert tau(np.array([1.0, -0.5]), 1e308 * np.eye(2), 1).value == pytest.approx(1e308, rel=1e-15)
     stack = np.stack([1e308 * np.eye(2), np.eye(2)])
-    assert [float(x) for x in _tau_l1(np.ones(2), stack)] == [1e308, 1.0]
+    assert [float(x) for x in _tau_values(np.ones(2), stack, 1)] == [1e308, 1.0]
+
+
+def test_tau_is_free_of_the_anchor_scale():
+    # tau is of degree zero in v.  At 2^-520, v v^T in P_v lost bits to
+    # underflow; at 2^-540 it underflowed whole and tau_2 was refused; on a
+    # subnormal anchor, A / v overflowed and tau_inf read inf
+    local = np.random.default_rng(0)
+    B = local.uniform(-1.0, 1.0, (5, 5))
+    v = local.standard_normal(5)
+    for k in (-520, -540, -1060):
+        u = np.ldexp(v, k)
+        for p in (1, 2, INF):
+            assert repr(tau(u, B, p).value) == repr(tau(np.ldexp(u, -k), B, p).value)

@@ -4,7 +4,7 @@ import pytest
 from ergo import (INF, PreconditionError, StochasticMatrix, as_distribution,
                   as_pnorm, conjugate_pnorm, dominant_pair, eigendecompose,
                   incidence_complete, induced_pnorm, oblique_projector,
-                  orthogonal_projector, agreement_projector, SeminormWeight)
+                  orthogonal_projector, SeminormWeight)
 from ergo.linalg import _boolean_primitive
 
 rng = np.random.default_rng(2024)
@@ -82,7 +82,7 @@ def test_orthogonal_projector():
     P = orthogonal_projector([1.0, 0.0, 0.0])
     assert np.allclose(P, np.diag([0.0, 1.0, 1.0]))
     P1 = orthogonal_projector(np.ones(4))
-    assert np.allclose(P1, agreement_projector(4))
+    assert np.allclose(P1, np.eye(4) - np.full((4, 4), 0.25))
     x = np.array([1.0, -1.0])
     assert np.allclose(orthogonal_projector([1.0, 1.0]) @ x, x)
     with pytest.raises(PreconditionError):
@@ -97,7 +97,7 @@ def test_orthogonal_projector():
 
 def test_oblique_projector():
     n = 3
-    assert np.allclose(oblique_projector(np.ones(n) / n), agreement_projector(n))
+    assert np.allclose(oblique_projector(np.ones(n) / n), np.eye(n) - np.full((n, n), 1.0 / n))
     Q = oblique_projector([1.0, 0.0])
     assert np.allclose(Q, [[0.0, 0.0], [-1.0, 1.0]])
     for _ in range(10):

@@ -114,3 +114,26 @@ def test_one_function_imports_private_scipy():
             if any(_private_scipy(module) for module in modules):
                 importers.append(name)
     assert importers == ["seminorm._highs"]
+
+
+def test_two_functions_take_binary_exponents():
+    # `ergodicity._scaled` scales every tau and Psi kernel's operands by
+    # powers of two; `seminorm._deflate_linf` fixes the box exponent that
+    # keeps its LP tolerances relative.  No other function picks a scale
+    takers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stack = list(ast.iter_child_nodes(fn))
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if (isinstance(node, ast.Call)
+                        and (_dotted(node.func) or "").split(".")[-1] == "frexp"):
+                    takers.append(f"{path.stem}.{fn.name}")
+                    break
+                stack.extend(ast.iter_child_nodes(node))
+    assert takers == ["ergodicity._scaled", "seminorm._deflate_linf"]

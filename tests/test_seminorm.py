@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.optimize
 
 from ergo import (INF, CrossCheckError, PreconditionError, SeminormWeight,
-                  StochasticMatrix, agreement_projector, deflated_norm, dobrushin, dominant_pair,
+                  StochasticMatrix, deflated_norm, dobrushin, dominant_pair,
                   induced_pnorm, induced_seminorm, kernel_invariance_residual,
                   lmi_l2, oracle_weighted_seminorm, orthogonal_projector, tau, vector_seminorm)
 
@@ -31,12 +31,13 @@ def real_eigenpair(n):
 
 def test_weight_construction():
     W = SeminormWeight.agreement(3)
-    assert np.allclose(W.matrix, agreement_projector(3))
+    assert np.allclose(W.matrix, np.eye(3) - np.full((3, 3), 1.0 / 3))
     W = SeminormWeight.incidence(3)
     assert W.matrix.shape == (6, 3)
     with pytest.raises(PreconditionError):
         SeminormWeight.factored(np.zeros((2, 2)), np.ones(2))
-    unknown = SeminormWeight("unknown", agreement_projector(2), np.ones(2), anchor=np.ones(2))
+    unknown = SeminormWeight("unknown", orthogonal_projector(np.ones(2)), np.ones(2),
+                             anchor=np.ones(2))
     with pytest.raises(PreconditionError, match="unknown weight kind"):
         induced_seminorm(A22, unknown, 1)
 
@@ -76,7 +77,7 @@ def test_incidence_vector_seminorm_never_builds_the_matrix():
 
 def test_induced_seminorm_frozen():
     n = 3
-    Pi = agreement_projector(n)
+    Pi = orthogonal_projector(np.ones(n))
     assert abs(induced_seminorm(Pi, SeminormWeight.agreement(n), 2) - 1.0) < 1e-12
     assert abs(induced_seminorm(A22, SeminormWeight.agreement(2), INF) - 0.25) < 1e-12
     sym = np.array([[0.9, 0.1], [0.1, 0.9]])
@@ -273,9 +274,10 @@ def test_deflation_duality_pairings():
 
 
 def test_lmi_frozen():
-    assert abs(lmi_l2(np.array([[0.9, 0.1], [0.1, 0.9]]), agreement_projector(2)) - 0.64) < 1e-12
+    Pi = orthogonal_projector(np.ones(2))
+    assert abs(lmi_l2(np.array([[0.9, 0.1], [0.1, 0.9]]), Pi) - 0.64) < 1e-12
     n = 4
-    Pi = agreement_projector(n)
+    Pi = orthogonal_projector(np.ones(n))
     assert abs(lmi_l2(Pi, Pi) - 1.0) < 1e-12
 
 
@@ -305,7 +307,7 @@ def test_lmi_preconditions():
     with pytest.raises(PreconditionError):
         lmi_l2(np.eye(3), np.eye(3))  # kernel is zero-dimensional
     with pytest.raises(PreconditionError):
-        lmi_l2(rng.uniform(-1, 1, (3, 3)), agreement_projector(3))  # kernel not invariant
+        lmi_l2(rng.uniform(-1, 1, (3, 3)), orthogonal_projector(np.ones(3)))  # kernel not invariant
 
 
 def _primal_lp_psi_inf(v, A):
@@ -529,6 +531,36 @@ def test_deflated_norm_is_scale_free(q):
                 assert abs(res.value - scaled) <= 1e-12 * scaled
                 attained = induced_pnorm(Ak - np.outer(v, res.c_star), q)
                 assert abs(attained - res.value) <= 1e-12 * res.value
+
+
+def test_deflated_norm_is_free_of_the_anchor_scale():
+    # Psi_q is of degree zero in v and c_star of degree -1.  At 2^-540 the
+    # projection vector's v^T v underflowed and every q was refused; the
+    # subnormal anchor's c_star lies past the float range
+    local = np.random.default_rng(0)
+    B = local.uniform(-1.0, 1.0, (5, 5))
+    v = local.standard_normal(5)
+    for k in (-520, -540, -1060):
+        u = np.ldexp(v, k)
+        for q in (1, 2, INF):
+            with np.errstate(over="ignore"):
+                res = deflated_norm(u, B, q)
+            ref = deflated_norm(np.ldexp(u, -k), B, q)
+            assert (repr(res.value), repr(res.bound)) == (repr(ref.value), repr(ref.bound))
+            if k > -1060:
+                assert np.ldexp(res.c_star, k).tobytes() == ref.c_star.tobytes()
+
+
+def test_deflated_norm_near_the_top_of_the_float_range():
+    # A^T v overflowed in the projection vector (a refusal where Psi_q is
+    # 0), and Psi_inf's bound in math.ldexp (an OverflowError)
+    for q in (1, 2, INF):
+        assert deflated_norm(np.ones(2), 1e308 * np.ones((2, 2)), q).value == 0.0
+    local = np.random.default_rng(0)
+    B = local.uniform(-1.0, 1.0, (5, 5))
+    v = local.standard_normal(5)
+    with np.errstate(over="ignore"):
+        assert deflated_norm(v, 1e308 * B, INF).value == np.inf
 
 
 def test_incidence_inf_near_row_tolerance_is_not_a_chain():
