@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PreconditionError
-from .linalg import StochasticMatrix, as_pnorm, as_vector, dominant_pair
+from .linalg import StochasticMatrix, _stochastic_stack, as_pnorm, as_vector, dominant_pair
 from .seminorm import SeminormWeight, _reduced_seminorms, induced_seminorm, vector_seminorm
 
 BOUND_SLACK = 1e-10
@@ -31,10 +33,32 @@ class Certificate:
 
 
 def as_sequence(matrices):
-    """Validate a nonempty uniform-dimension list of stochastic matrices."""
-    if not matrices:
+    """Validate a nonempty uniform-dimension sequence of stochastic matrices.
+
+    Elements that are already `StochasticMatrix` pass through.  The others
+    are checked as one (K, n, n) stack by `_stochastic_stack`, and each is
+    wrapped without a second check, with the bits and flags of its own
+    `StochasticMatrix`.  When they do not form such a stack (ragged input,
+    mixed dimensions) or the stack fails a check, every element is
+    validated in turn, so the first failing one raises its own error, and
+    valid matrices of different sizes raise "sequence mixes matrix
+    dimensions".
+    """
+    items = list(matrices)
+    if not items:
         raise PreconditionError("matrix sequence is empty")
-    seq = [StochasticMatrix.of(m) for m in matrices]
+    raw = [i for i, m in enumerate(items) if not isinstance(m, StochasticMatrix)]
+    try:
+        stack = np.asarray([items[i] for i in raw], dtype=float)
+        checked = zip(raw, *_stochastic_stack(stack)) if stack.ndim == 3 else None
+    except (ValueError, TypeError, PreconditionError):
+        checked = None
+    if checked is None:
+        seq = [StochasticMatrix.of(m) for m in items]
+    else:
+        seq = list(items)
+        for i, *flags in checked:
+            seq[i] = StochasticMatrix._checked(*flags)
     n = seq[0].n
     if any(m.n != n for m in seq):
         raise PreconditionError("sequence mixes matrix dimensions")

@@ -155,17 +155,19 @@ def _column_medians(v, As):
 def _row_medians(v, X):
     """min_mu ||x - mu v||_1 and a minimizing mu, for every row x of X.
 
-    Kinks are stable-sorted per row and the weights accumulated; the
-    objective is evaluated at the lower and the upper weighted median (they
-    differ only where the minimum is flat) and the smaller value is kept.
-    With v = 0 there are no kinks and every mu is a minimizer; mu = 0 is
-    returned.
+    Kinks are sorted per row and the weights accumulated; the objective is
+    evaluated at the lower and the upper weighted median (they differ only
+    where the minimum is flat) and the smaller value is kept.  Both medians
+    are kink values, and the crossing of half the weight lands in the same
+    block of tied kinks whatever their order within it, so the sort need
+    not be stable.  With v = 0 there are no kinks and every mu is a
+    minimizer; mu = 0 is returned.
     """
     mask = v != 0.0
     if not mask.any():
         return np.sum(np.abs(X), axis=1), np.zeros(len(X))
     kinks = X[:, mask] / v[mask]
-    order = np.argsort(kinks, axis=1, kind="stable")
+    order = np.argsort(kinks, axis=1)
     kinks = np.take_along_axis(kinks, order, axis=1)
     cum = np.cumsum(np.abs(v[mask])[order], axis=1)
     half = 0.5 * cum[:, -1:]
@@ -203,7 +205,8 @@ def _tau_values(v, As, p):
     the anchor v, by one kernel call; p is already normalized.
 
     The kernel runs on the pair `_scaled` gives, and each value is scaled
-    back by 2^ea.  Each value is bit-identical to its own `tau` call (a stack of one): every
+    back by 2^ea; a value past the float range is inf, without a numpy
+    warning.  Each value is bit-identical to its own `tau` call (a stack of one): every
     sum runs along a contiguous last axis of the same length, and every
     maximum is exact.
     """
@@ -214,7 +217,8 @@ def _tau_values(v, As, p):
         values = _column_medians(v, As)[0].max(axis=1, initial=0.0)
     else:
         values = _tau_l2(v, As)
-    return np.ldexp(values, ea)
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, ea)
 
 
 def _anchored(v, A):

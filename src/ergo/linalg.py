@@ -169,6 +169,41 @@ def _boolean_primitive(mask, n):
     return bool(np.all(power))
 
 
+def _stochastic_stack(ms):
+    """The checks of `StochasticMatrix` on a stack ms (K, n, n) of float
+    matrices, in one pass: the stack with each matrix clamped and its rows
+    normalized, and the flags doubly_stochastic, positive_diagonal and
+    primitive of each matrix, as three (K,) arrays.
+
+    A check that some matrix fails raises its PreconditionError; the checks
+    run in the order of one matrix's (finite, square, entries, row sums),
+    so on a stack of one the error is that matrix's own.  The stack is made
+    row-major first, so the row sums, to the last bit, do not depend on how
+    the caller laid a matrix out.
+    """
+    if not np.isfinite(ms).all():
+        raise PreconditionError("stochastic matrix contains non-finite entries")
+    K, n, cols = ms.shape
+    if n != cols:
+        raise PreconditionError(f"stochastic matrix must be square, got {(n, cols)}")
+    m = np.ascontiguousarray(ms)
+    if m.min() < -ROW_TOLERANCE:
+        raise PreconditionError("negative entries beyond row tolerance")
+    m = np.clip(m, 0.0, None)
+    sums = m.sum(axis=2)
+    if np.abs(sums - 1.0).max() > ROW_TOLERANCE:
+        raise PreconditionError("row sums deviate from 1 beyond tolerance")
+    m /= sums[:, :, None]
+    doubly = np.abs(m.sum(axis=1) - 1.0).max(axis=1) <= ROW_TOLERANCE
+    positive_diagonal = m.diagonal(axis1=1, axis2=2).min(axis=1) > 0.0
+    mask = m > 0.0
+    # an all-positive matrix is primitive; only the others are powered
+    primitive = mask.all(axis=(1, 2))
+    for k in np.flatnonzero(~primitive):
+        primitive[k] = _boolean_primitive(mask[k], n)
+    return m, doubly, positive_diagonal, primitive
+
+
 class StochasticMatrix:
     """Validated row-stochastic square matrix with cached structural flags.
 
@@ -176,7 +211,9 @@ class StochasticMatrix:
     fail construction; smaller deviations are clamped/renormalized so that
     downstream certificates never see silently corrected garbage.  This is
     the one place a chain is accepted: every public entry point taking a
-    chain goes through `StochasticMatrix.of`.
+    chain goes through `StochasticMatrix.of`, and the checks themselves are
+    `_stochastic_stack`, which `contraction.as_sequence` runs once on a
+    whole sequence.  `matrix` is row-major whatever the input's layout.
     """
 
     @classmethod
@@ -191,22 +228,26 @@ class StochasticMatrix:
             raise PreconditionError(f"{primitive_for} needs a primitive matrix")
         return S
 
+    @classmethod
+    def _checked(cls, *checked):
+        """A StochasticMatrix of one matrix of a stack and its three flags,
+        as `_stochastic_stack` returns them, with no check repeated."""
+        S = cls.__new__(cls)
+        S._hold(*checked)
+        return S
+
     def __init__(self, matrix):
-        m = as_matrix(matrix, "stochastic matrix")
-        if m.shape[0] != m.shape[1]:
-            raise PreconditionError(f"stochastic matrix must be square, got {m.shape}")
-        if np.min(m) < -ROW_TOLERANCE:
-            raise PreconditionError("negative entries beyond row tolerance")
-        m = np.clip(m, 0.0, None)
-        sums = m.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > ROW_TOLERANCE:
-            raise PreconditionError("row sums deviate from 1 beyond tolerance")
-        self.matrix = m / sums[:, None]
-        self.n = m.shape[0]
-        col = self.matrix.sum(axis=0)
-        self.doubly_stochastic = bool(np.max(np.abs(col - 1.0)) <= ROW_TOLERANCE)
-        self.positive_diagonal = bool(np.min(np.diag(self.matrix)) > 0.0)
-        self.primitive = _boolean_primitive(self.matrix > 0.0, self.n)
+        m = np.asarray(matrix, dtype=float)
+        if m.ndim != 2:
+            raise PreconditionError(f"stochastic matrix must be 2-D, got shape {m.shape}")
+        self._hold(*(x[0] for x in _stochastic_stack(m[None])))
+
+    def _hold(self, matrix, doubly_stochastic, positive_diagonal, primitive):
+        self.matrix = matrix
+        self.n = matrix.shape[0]
+        self.doubly_stochastic = bool(doubly_stochastic)
+        self.positive_diagonal = bool(positive_diagonal)
+        self.primitive = bool(primitive)
 
     def __repr__(self):
         return (f"StochasticMatrix(n={self.n}, primitive={self.primitive}, "

@@ -408,7 +408,9 @@ def deflated_norm(v, A, q):
     `CrossCheckError` is raised; the `bound` returned is never above the
     value.  `bound` is None for q in {1, 2}.  Every route runs on v and A
     that `ergodicity._scaled` scales by 2^-ev and 2^-e into [0.5, 1); the
-    value and `bound` scale back by 2^e, and `c_star` by 2^(e - ev).
+    value and `bound` scale back by 2^e (to inf past the float range,
+    without a numpy warning), and `c_star` by 2^(e - ev), with +0.0 for
+    every zero entry.
     """
     v, A = _anchored(v, A)
     q = as_pnorm(q)
@@ -439,8 +441,13 @@ def deflated_norm(v, A, q):
                 f"bound {float(np.ldexp(bound, ea))!r}")
         # at the optimum both are Psi up to rounding, and either can come out
         # an ulp above the other; a lower bound may always be lowered
-        bound = float(np.ldexp(min(bound, value), ea))
-    return DeflationResult(float(np.ldexp(value, ea)), np.ldexp(c, ea - ev), q, bound)
+        bound = min(bound, value)
+    with np.errstate(over="ignore"):
+        value = float(np.ldexp(value, ea))
+        if bound is not None:
+            bound = float(np.ldexp(bound, ea))
+    # + 0.0 turns a -0.0 entry, from a kink 0 / -v_i or the projection, to +0.0
+    return DeflationResult(value, np.ldexp(c, ea - ev) + 0.0, q, bound)
 
 
 def lmi_l2(A, P):

@@ -235,8 +235,10 @@ def suite_mixing(trials=50, seed=0):
         n = int(rng.integers(2, 7))
         S = _random_stochastic(rng, n)
         _, pi = dominant_pair(S)
-        # d(S, k) from the renormalized power, as distance_to_stationarity
-        # accumulates it; the definition and the coefficient from the plain power
+        # d(S, k) for k < 7 from the renormalized powers of mixing_time's
+        # scan, d(S, 7) from distance_to_stationarity's binary powering (the
+        # two round differently from k = 4 on); the definition and the
+        # coefficient from the plain power
         powers, renormalized = [np.eye(n)], np.eye(n)
         dists = [_worst_row_tv(renormalized, pi)]
         for _ in range(1, 7):

@@ -537,3 +537,14 @@ def test_python_m_ergo_cli_matches_in_process(a22, capsys):
     assert proc.returncode == 0, proc.stderr
     assert main(["tau", str(a22), "--p", "1"]) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_tau_past_the_float_range_is_inf_without_a_warning(tmp_path):
+    # scaling the value back by its power of two overflowed in np.ldexp,
+    # whose RuntimeWarning reached stderr ahead of the report
+    p = tmp_path / "huge.csv"
+    p.write_text("1.7e308,-1.7e308\n-1.7e308,1.7e308\n")
+    for exponent in ("1", "2"):
+        proc = _fresh_python("-m", "ergo.cli", "tau", str(p), "--p", exponent)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["result"]["value"] == "inf"

@@ -174,3 +174,79 @@ def test_product_coefficient_bound():
             for S in seq:
                 per *= tau(np.ones(n), S.matrix, p).value
             assert total <= per + 1e-10
+
+
+def _one_at_a_time(matrices):
+    """The sequence check as a loop over the matrices: the reference for
+    `as_sequence`'s errors."""
+    if not matrices:
+        raise PreconditionError("matrix sequence is empty")
+    seq = [StochasticMatrix.of(m) for m in matrices]
+    if any(m.n != seq[0].n for m in seq):
+        raise PreconditionError("sequence mixes matrix dimensions")
+    return seq
+
+
+def _flags(S):
+    return (S.n, S.primitive, S.doubly_stochastic, S.positive_diagonal)
+
+
+def test_as_sequence_matches_per_matrix_validation():
+    local = np.random.default_rng(53)
+    n = 7
+    periodic = np.roll(np.eye(n), 1, axis=1)
+    raw = [_chain(local, n, sparse) for sparse in (False, True, True, False)]
+    raw += [periodic, np.full((n, n), 1.0 / n), 0.5 * (np.eye(n) + periodic)]
+    # a clamped entry and row sums off 1 within the tolerance
+    nudged = _chain(local, n, False)
+    nudged[0, 1] += nudged[0, 0]
+    nudged[0, 0] = -5e-11
+    nudged[1] *= 1.0 + 4e-11
+    raw.append(nudged)
+    validated = StochasticMatrix(_chain(local, n, True))
+    for seq in (raw, [np.asfortranarray(M) for M in raw], [M.tolist() for M in raw],
+                raw[:3] + [validated] + raw[3:], [validated, validated]):
+        got = as_sequence(seq)
+        assert len(got) == len(seq)
+        for S, M in zip(got, seq):
+            if isinstance(M, StochasticMatrix):
+                assert S is M
+                continue
+            want = StochasticMatrix(M)
+            assert S.matrix.tobytes() == want.matrix.tobytes()
+            assert S.matrix.flags.c_contiguous and want.matrix.flags.c_contiguous
+            assert _flags(S) == _flags(want)
+    flags = [_flags(S) for S in as_sequence(raw)]
+    assert (n, False, True, False) in flags and (n, True, False, True) in flags
+    # the matrix bits do not depend on the input's layout
+    for M in raw:
+        assert (StochasticMatrix(np.asfortranarray(M)).matrix.tobytes()
+                == StochasticMatrix(M).matrix.tobytes())
+
+
+def test_as_sequence_refusals_match_the_per_matrix_loop():
+    good = [[0.5, 0.5], [0.25, 0.75]]
+    negative = [[1.1, -0.1], [0.5, 0.5]]
+    rows = [[0.5, 0.6], [0.5, 0.5]]
+    infinite = [[np.inf, 0.0], [0.5, 0.5]]
+    cases = [
+        [],
+        [good, negative],
+        [good, rows],
+        [good, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]],
+        [good, infinite],
+        [good, [[0.5, 0.5], [1.0]]],
+        [good, np.full((3, 3), 1.0 / 3.0)],
+        [StochasticMatrix(good), np.full((3, 3), 1.0 / 3.0)],
+        [good, [0.5, 0.5]],
+        # the first failing matrix raises, whichever check fails first
+        [good, rows, infinite, negative],
+        [good, negative, rows],
+        [np.full((3, 3), 1.0 / 3.0), good, rows],
+    ]
+    for seq in cases:
+        with pytest.raises(Exception) as expected:
+            _one_at_a_time(seq)
+        with pytest.raises(type(expected.value)) as got:
+            as_sequence(seq)
+        assert str(got.value) == str(expected.value), seq

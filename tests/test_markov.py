@@ -5,6 +5,7 @@ import pytest
 
 from ergo import (INF, PreconditionError, StochasticMatrix, distance_to_stationarity,
                   dominant_pair, mixing_time, tau, total_variation)
+from ergo import markov
 from ergo.ergodicity import BLOCK_ENTRIES
 
 rng = np.random.default_rng(17)
@@ -143,13 +144,70 @@ def test_mixing_time_matches_per_step_scan():
 
 
 def test_mixing_time_memory_bounded_by_chunk():
-    # holding every power of the lazy 40-cycle up to t_mix would take 8.6 MB
+    # holding every power of the lazy 40-cycle up to t_mix would take 8.6 MB;
+    # the scan keeps one power and the residual's rescan one chunk
     S = lazy_cycle(40)
     tracemalloc.start()
     try:
         report = mixing_time(S, 0.01)
+        residual = report.identity_residual
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.t_mix == 673
+    assert residual >= 0.0
     assert peak < 2 * 2 ** 20
+
+
+def test_identity_residual_is_computed_on_read(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tau_values(*args)
+
+    tau_values = markov._tau_values
+    monkeypatch.setattr(markov, "_tau_values", counted)
+    for S, eps in ((lazy_cycle(12), 0.01), (lazy_cycle(30), 0.01), (FLIP, 0.3),
+                   (random_primitive(5), 1e-4), (lazy_cycle(100), 0.25)):
+        report = mixing_time(S, eps)
+        assert calls == []
+        residual = report.identity_residual
+        assert len(calls) >= 1
+        assert repr(residual) == repr(_per_step_scan(S, eps)[2])
+        # the value is kept: a second read rescans nothing
+        del calls[:]
+        assert report.identity_residual is residual
+        assert calls == []
+
+
+def test_distance_by_binary_powering(monkeypatch):
+    renormalized = []
+
+    def counted(M):
+        renormalized.append(1)
+        return renormalize(M)
+
+    renormalize = markov._renormalize_rows
+    monkeypatch.setattr(markov, "_renormalize_rows", counted)
+    local = np.random.default_rng(29)
+    chains = [lazy_cycle(n) for n in (3, 8, 25)]
+    for n in (2, 5, 12):
+        M = local.uniform(0.0, 1.0, (n, n)) ** 3 + 0.01
+        chains.append(StochasticMatrix(M / M.sum(axis=1, keepdims=True)))
+    for S in chains:
+        _, pi = dominant_pair(S)
+        trace = mixing_time(S, 1e-6).trace
+        assert len(trace) > 4
+        for k, d in trace[:4]:
+            # up to A^3 the products are the scan's, bit for bit
+            assert repr(distance_to_stationarity(S, k)) == repr(d)
+        for k in (0, 1, 2, 3, 4, 5, 7, 8, 50, 1000, 2 ** 17 - 1, 10 ** 6):
+            del renormalized[:]
+            d = distance_to_stationarity(S, k)
+            assert len(renormalized) <= 2 * k.bit_length()
+            # unrenormalized, matrix_power's rows drift by some 4e-12 at
+            # k = 10^6 on the 2-state chain; one division at the end removes it
+            plain = np.linalg.matrix_power(S.matrix, k)
+            plain /= plain.sum(axis=1, keepdims=True)
+            assert abs(d - 0.5 * np.abs(plain - pi).sum(axis=1).max()) < 1e-12

@@ -1,8 +1,9 @@
 """Name guards over `src/ergo`, with the stdlib only (no linter): every global
 a function reads must be an attribute of its module or a builtin, every
 module-level import must be read in its module, every parameter of a
-function must be read in its body, and one function alone imports a private
-scipy module."""
+function must be read in its body, one function alone imports a private
+scipy module, and no code that `markov.mixing_time` may run reads the
+weighted-median kernel."""
 
 import ast
 import builtins
@@ -137,3 +138,86 @@ def test_two_functions_take_binary_exponents():
                     break
                 stack.extend(ast.iter_child_nodes(node))
     assert takers == ["ergodicity._scaled", "seminorm._deflate_linf"]
+
+
+def _definitions():
+    """Every module of `src/ergo` as (functions, classes, imports): its
+    top-level functions by name, its classes as {method name: node} by name,
+    and the names it imports from sibling modules as (module, name)."""
+    modules = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions, classes, imports = {}, {}, {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                classes[node.name] = {fn.name: fn for fn in node.body
+                                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                imports.update((a.asname or a.name, (node.module, a.name)) for a in node.names)
+        modules[path.stem] = functions, classes, imports
+    return modules
+
+
+def _reachable(modules, module, name):
+    """(module, qualified name, node) of every function that the function
+    `name` of `module` may run, itself included.
+
+    A name read in a reached body that resolves, in its module or through an
+    import, to a function reaches it, and one that resolves to a class
+    reaches its constructor methods.  An attribute `.x` reaches every method
+    x of every class, properties among them, so reading a report's property
+    counts as running it."""
+    methods_named = {}
+    for mod, (_, classes, _) in modules.items():
+        for cls, methods in classes.items():
+            for meth, node in methods.items():
+                methods_named.setdefault(meth, []).append((mod, f"{cls}.{meth}", node))
+
+    def resolve(mod, ident):
+        functions, classes, imports = modules[mod]
+        if ident in imports:
+            mod, ident = imports[ident]
+            functions, classes, _ = modules.get(mod, ({}, {}, {}))
+        if ident in functions:
+            return [(mod, ident, functions[ident])]
+        if ident in classes:
+            return [(mod, f"{ident}.{m}", node) for m, node in classes[ident].items()
+                    if m in ("__new__", "__init__", "__post_init__")]
+        return []
+
+    seen, todo = {}, resolve(module, name)
+    while todo:
+        mod, qual, fn = todo.pop()
+        if (mod, qual) in seen:
+            continue
+        seen[(mod, qual)] = fn
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                todo += resolve(mod, node.id)
+            elif isinstance(node, ast.Attribute):
+                todo += methods_named.get(node.attr, [])
+    return [(mod, qual, fn) for (mod, qual), fn in seen.items()]
+
+
+def test_mixing_scan_never_runs_the_median_kernel():
+    # mixing_time's report computes identity_residual on its first read; the
+    # scan itself must not take a tau_inf coefficient
+    modules = _definitions()
+    kernels = {"_tau_values", "_column_medians"}
+
+    def reads_kernel(fn):
+        return any((isinstance(node, ast.Name) and node.id in kernels)
+                   or (isinstance(node, ast.Attribute) and node.attr in kernels)
+                   for node in ast.walk(fn))
+
+    scan = _reachable(modules, "markov", "mixing_time")
+    names = {f"{mod}.{qual}" for mod, qual, _ in scan}
+    assert {"markov.mixing_time", "markov._worst_row_tv", "linalg.dominant_pair",
+            "linalg.StochasticMatrix.__init__", "linalg._stochastic_stack"} <= names
+    assert [f"{mod}.{qual}" for mod, qual, fn in scan if reads_kernel(fn)] == []
+    # the guard sees the kernel where it is: behind the property
+    residual = _reachable(modules, "markov", "MixingReport")
+    assert not any(qual == "MixingReport.identity_residual" for _, qual, _ in residual)
+    assert reads_kernel(modules["markov"][1]["MixingReport"]["identity_residual"])

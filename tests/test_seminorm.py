@@ -618,3 +618,50 @@ def test_dobrushin_reports_its_overlap_form():
     assert repr(res.overlap) == repr(_overlap_form(S.matrix))
     assert abs(res.overlap - res.value) <= 1e-12
     assert tau(np.ones(3), S.matrix, 1).overlap is None
+
+
+def _stable_row_medians(v, X):
+    """`ergodicity._row_medians` with a stable sort, kinks in row order
+    within each block of ties."""
+    mask = v != 0.0
+    if not mask.any():
+        return np.sum(np.abs(X), axis=1), np.zeros(len(X))
+    kinks = X[:, mask] / v[mask]
+    order = np.argsort(kinks, axis=1, kind="stable")
+    kinks = np.take_along_axis(kinks, order, axis=1)
+    cum = np.cumsum(np.abs(v[mask])[order], axis=1)
+    half = 0.5 * cum[:, -1:]
+    rows = np.arange(len(X))
+    lower = kinks[rows, np.argmax(cum >= half, axis=1)]
+    upper = kinks[rows, np.argmax(cum > half, axis=1)]
+    val_lower = np.sum(np.abs(X - lower[:, None] * v), axis=1)
+    val_upper = np.sum(np.abs(X - upper[:, None] * v), axis=1)
+    up = val_upper < val_lower
+    return np.where(up, val_upper, val_lower), np.where(up, upper, lower)
+
+
+def test_medians_do_not_depend_on_the_order_of_tied_kinks(monkeypatch):
+    from ergo import ergodicity
+    local = np.random.default_rng(59)
+    cases = []
+    for _ in range(60):
+        m, n = (int(x) for x in local.integers(2, 14, 2))
+        A = local.integers(-2, 3, (m, n)).astype(float)
+        signs = local.choice([-1.0, 1.0], m)
+        zeros = local.integers(-2, 3, m).astype(float)
+        zeros[0] = zeros[0] or 1.0
+        cases += [(signs, A), (zeros, A), (np.ones(m), np.abs(A))]
+
+    def results():
+        out = []
+        for v, A in cases:
+            psi1, psiinf = deflated_norm(v, A, 1), deflated_norm(v, A, INF)
+            out.append((repr(tau(v, A, INF).value), repr(psi1.value), repr(psiinf.value),
+                        repr(psiinf.bound)))
+            for c in (psi1.c_star, psiinf.c_star):
+                assert not np.any(np.signbit(c) & (c == 0.0))
+        return out
+
+    default = results()
+    monkeypatch.setattr(ergodicity, "_row_medians", _stable_row_medians)
+    assert default == results()
