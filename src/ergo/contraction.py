@@ -132,16 +132,3 @@ def certify_markov(A, p):
         contracting=bool(rate < 1.0),
         theorem_route="stationary-projector seminorm of the distribution update",
     )
-
-
-def simulate_markov_and_check(A, pi0, p):
-    """Iterate the distribution dynamics and verify the Markov certificate bound."""
-    A = StochasticMatrix.of(A)
-    cert = certify_markov(A, p)
-    pi = as_vector(pi0, "initial distribution")
-    if len(pi) != A.n:
-        raise PreconditionError(f"initial distribution length {len(pi)} does not match n={A.n}")
-    states = [pi]
-    for _ in range(1, 2 * A.n + 10):
-        states.append(A.matrix.T @ states[-1])
-    return _check_trajectory(states, cert, p)

@@ -17,9 +17,6 @@ from .errors import PreconditionError
 
 INF = math.inf
 
-#: the only exponents with exact induced-norm computation
-PNORMS = (1, 2, INF)
-
 ROW_TOLERANCE = 1e-10
 DIAGONALIZABLE_COND = 1e8
 #: how far a distribution may fall outside the simplex before renormalizing
@@ -43,16 +40,6 @@ def as_pnorm(p):
     if p == INF or p == np.inf:
         return INF
     raise PreconditionError(f"unsupported p-norm {p!r}; only p in {{1, 2, inf}} is exact")
-
-
-def conjugate_pnorm(p):
-    """Holder conjugate: 1 <-> inf, 2 <-> 2."""
-    p = as_pnorm(p)
-    if p == 1:
-        return INF
-    if p == INF:
-        return 1
-    return 2
 
 
 def as_matrix(a, name="matrix"):
@@ -121,28 +108,19 @@ def oblique_projector(w):
     return np.eye(n) - np.outer(np.ones(n), w)
 
 
-def _incidence_rows(n, dtype):
-    """C_n^T in the given dtype: one row e_i - e_j per ordered pair (i, j),
+def _incidence_rows(n):
+    """C_n^T, the transposed oriented incidence matrix of the complete graph
+    on n nodes, in float64: one row e_i - e_j per ordered pair (i, j),
     i != j, in lexicographic order."""
     if n < 2:
         raise PreconditionError("complete graph incidence needs n >= 2")
     # off-diagonal positions in row-major order are exactly these pairs
     head, tail = np.nonzero(~np.eye(n, dtype=bool))
     rows = np.arange(n * (n - 1))
-    R = np.zeros((n * (n - 1), n), dtype=dtype)
+    R = np.zeros((n * (n - 1), n))
     R[rows, head] = 1
     R[rows, tail] = -1
     return R
-
-
-def incidence_complete(n):
-    """Oriented incidence matrix C_n of the complete graph on n nodes.
-
-    Shape n x n(n-1), one column per ordered pair (i, j) in lexicographic
-    order, +1 at the head i and -1 at the tail j.  Satisfies
-    C_n C_n^T = 2n I - 2 * ones exactly in integer arithmetic.
-    """
-    return _incidence_rows(n, np.int64).T
 
 
 def _boolean_primitive(mask, n):

@@ -1,7 +1,8 @@
-"""Distance to stationarity, total variation, and epsilon-mixing time."""
+"""Distance to stationarity and epsilon-mixing time."""
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -9,20 +10,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import INF, StochasticMatrix, as_distribution, dominant_pair
+from .linalg import INF, StochasticMatrix, dominant_pair
 from .ergodicity import BLOCK_ENTRIES, _tau_values
 
 MIXING_CAP = 10 ** 6
 DRIFT_TOL = 1e-12
-
-
-def total_variation(xi, nu):
-    """Half the l1 distance between two probability vectors."""
-    xi = as_distribution(xi, name="xi")
-    nu = as_distribution(nu, name="nu")
-    if len(xi) != len(nu):
-        raise PreconditionError(f"length mismatch: {len(xi)} vs {len(nu)}")
-    return 0.5 * float(np.sum(np.abs(xi - nu)))
 
 
 def _drifted_sums(M):
@@ -60,10 +52,14 @@ def distance_to_stationarity(A, k):
     units of the last place of d.
     """
     A = StochasticMatrix.of(A, "distance to stationarity")
-    if k < 0:
-        raise PreconditionError("time index must be nonnegative")
+    try:
+        # numpy integers pass; 2.5 or "3" is refused rather than truncated
+        k = operator.index(k)
+    except TypeError:
+        k = None
+    if k is None or k < 0:
+        raise PreconditionError("time index must be a nonnegative integer")
     _, pi = dominant_pair(A)
-    k = int(k)
     if k == 0:
         return _worst_row_tv(np.eye(A.n), pi)
     Ak, square = None, _renormalize_rows(A.matrix.copy())
@@ -125,15 +121,16 @@ class MixingReport:
         return residual
 
 
-def mixing_time(A, epsilon, cap=MIXING_CAP):
+def mixing_time(A, epsilon):
     """Smallest k with d(A, k) <= epsilon, by incremental scan.
 
     Each step is one product A^k = A^(k-1) @ A, renormalized in its rows
     when their drift exceeds 1e-12, and its distance d(A, k); only the
     current power is kept.  The scan asserts the standard non-increase of
     d along k only as a warning; t_mix never relies on early exit.  Chains
-    that fail to mix within the cap raise.  The report's identity_residual
-    is not computed here: its first read rescans the same powers.
+    that fail to mix within MIXING_CAP steps raise.  The report's
+    identity_residual is not computed here: its first read rescans the same
+    powers.
     """
     A = StochasticMatrix.of(A, "mixing time")
     if not (0.0 < epsilon < 1.0):
@@ -151,8 +148,8 @@ def mixing_time(A, epsilon, cap=MIXING_CAP):
         prev = d
         if d <= epsilon:
             return MixingReport(float(epsilon), k, trace, A.matrix, pi, frozenset(renormalized))
-        if k >= cap:
-            raise PreconditionError(f"mixing time exceeds the cap {cap}")
+        if k >= MIXING_CAP:
+            raise PreconditionError(f"mixing time exceeds the cap {MIXING_CAP}")
         Ak = Ak @ A.matrix
         k += 1
         sums = _drifted_sums(Ak)

@@ -217,7 +217,7 @@ def _seminorm_vertices_l1(R, kernel):
     return verts
 
 
-def oracle_weighted_seminorm(A, weight, p, seed=DEFAULT_SEED):
+def oracle_weighted_seminorm(A, weight, p):
     """Literal evaluation of max { ||RAx||_p : ||Rx||_p <= 1, x perp ker R }.
 
     Exact polytope vertex enumeration for p in {1, inf} up to n = 5; for the
@@ -235,7 +235,7 @@ def oracle_weighted_seminorm(A, weight, p, seed=DEFAULT_SEED):
     _weight_rank_check(R, n)
 
     if p == 2:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(DEFAULT_SEED)
         U = scipy.linalg.null_space(kernel.reshape(1, n))
         RA = R @ A
         G1 = U.T @ (RA.T @ RA) @ U
@@ -301,7 +301,7 @@ def _line_search(f, lo=-8.0, hi=8.0):
     return float(res.x), float(res.fun)
 
 
-def oracle_deflation(v, A, q, trials=8, seed=DEFAULT_SEED):
+def oracle_deflation(v, A, q, trials=8):
     """Convex local search for min_c ||A - v c^T||_q: coordinate descent with
     exact-ish line searches from zero, the orthogonal-projection vector, and
     `trials` random starts, then a simplex polish of the best point."""
@@ -313,7 +313,7 @@ def oracle_deflation(v, A, q, trials=8, seed=DEFAULT_SEED):
     if trials < 1:
         raise PreconditionError("trials must be at least 1")
     n = A.shape[1]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     scale = max(1.0, float(np.max(np.abs(A))))
 
     def f(c):

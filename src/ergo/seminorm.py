@@ -105,7 +105,7 @@ class SeminormWeight:
 
     @functools.cached_property
     def matrix(self):
-        return _incidence_rows(self.n, np.float64)
+        return _incidence_rows(self.n)
 
     @property
     def n(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ergo import (INF, PreconditionError, StochasticMatrix, distance_to_stationarity,
-                  dominant_pair, mixing_time, tau, total_variation)
+                  dominant_pair, mixing_time, tau)
 from ergo import markov
 from ergo.ergodicity import BLOCK_ENTRIES
 
@@ -18,14 +18,6 @@ def random_primitive(n):
     return StochasticMatrix(M / M.sum(axis=1, keepdims=True))
 
 
-def test_total_variation():
-    assert total_variation([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert total_variation([1.0, 0.0], [0.0, 1.0]) == 1.0
-    assert abs(total_variation([0.75, 0.25], [0.5, 0.5]) - 0.25) < 1e-14
-    with pytest.raises(PreconditionError):
-        total_variation([1.0, 0.0], [0.5, 0.25, 0.25])
-
-
 def test_distance_frozen():
     pi = np.array([0.3, 0.7])
     rank_one = StochasticMatrix(np.outer(np.ones(2), pi))
@@ -34,6 +26,11 @@ def test_distance_frozen():
     assert abs(distance_to_stationarity(FLIP, 3) - 0.0625) < 1e-12
     with pytest.raises(PreconditionError):
         distance_to_stationarity(StochasticMatrix(np.eye(2)), 1)
+    # a numpy integer gives the int's bits; the time index is never truncated
+    assert repr(distance_to_stationarity(FLIP, np.int64(3))) == repr(distance_to_stationarity(FLIP, 3))
+    for k in (2.5, 3.0, "3", -1, np.int64(-2), None):
+        with pytest.raises(PreconditionError, match="time index must be a nonnegative integer"):
+            distance_to_stationarity(FLIP, k)
 
 
 def test_distance_two_state_closed_form():
@@ -68,11 +65,12 @@ def test_mixing_boundary_cases():
         mixing_time(StochasticMatrix(np.eye(3)), 0.1)
 
 
-def test_mixing_cap():
+def test_mixing_cap(monkeypatch):
     eps = 1e-9
     slow = StochasticMatrix([[1 - eps, eps], [eps, 1 - eps]])
-    with pytest.raises(PreconditionError):
-        mixing_time(slow, 0.01, cap=50)
+    monkeypatch.setattr(markov, "MIXING_CAP", 50)
+    with pytest.raises(PreconditionError, match="exceeds the cap 50"):
+        mixing_time(slow, 0.01)
 
 
 def test_mixing_trace_monotone_and_consistent():
@@ -101,12 +99,16 @@ def lazy_cycle(n):
     return StochasticMatrix(C)
 
 
-def _per_step_scan(S, epsilon):
-    """mixing_time with one tau_inf call per step, as the definition reads."""
+def _per_step_scan(S, epsilon, drift_tol=1e-12, powers=None):
+    """mixing_time with one tau_inf call per step, as the definition reads,
+    renormalizing the rows of a power whose row sums drift past drift_tol;
+    each power A^0..A^t_mix is appended to `powers` when one is given."""
     _, pi = dominant_pair(S)
     Ak = np.eye(S.n)
     trace, residual, k = [], 0.0, 0
     while True:
+        if powers is not None:
+            powers.append(Ak)
         d = 0.5 * float(np.max(np.sum(np.abs(Ak - pi[None, :]), axis=1)))
         trace.append((k, d))
         residual = max(residual, abs(d - 0.5 * tau(pi, Ak.T, INF).value))
@@ -114,7 +116,7 @@ def _per_step_scan(S, epsilon):
             return k, trace, residual
         Ak = Ak @ S.matrix
         sums = Ak.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-12:
+        if np.max(np.abs(sums - 1.0)) > drift_tol:
             Ak = Ak / sums[:, None]
         k += 1
 
@@ -141,6 +143,42 @@ def test_mixing_time_matches_per_step_scan():
         assert repr(report.identity_residual) == repr(residual)
         flushes = max(flushes, (t_mix + 1) // max(1, BLOCK_ENTRIES // S.n ** 2))
     assert flushes > 10
+
+
+def test_mixing_time_renormalized_steps(monkeypatch):
+    # at DRIFT_TOL = 1e-12 the row sums of these chains never drift enough
+    # to renormalize; at 0.0 most steps do, in the scan and in the replay
+    # of identity_residual, which must still give the per-step bits.  The
+    # residual's maximum often falls on a step that is not renormalized, so
+    # the powers the replay hands the kernel are compared as well
+    seen = []
+
+    def recording(v, As, p):
+        seen.append(As.transpose(0, 2, 1).copy())  # the replay reuses its buffer
+        return tau_values(v, As, p)
+
+    tau_values = markov._tau_values
+    monkeypatch.setattr(markov, "_tau_values", recording)
+    monkeypatch.setattr(markov, "DRIFT_TOL", 0.0)
+    local = np.random.default_rng(31)
+    chains = [lazy_cycle(n) for n in (4, 7, 12, 20)]
+    for _ in range(12):
+        n = int(local.integers(2, 13))
+        M = local.uniform(0.0, 1.0, (n, n)) ** 3 + 0.01
+        chains.append(StochasticMatrix(M / M.sum(axis=1, keepdims=True)))
+    renormalized = 0
+    for S in chains:
+        for eps in (0.25, 1e-2, 1e-4):
+            report = mixing_time(S, eps)
+            powers = []
+            t_mix, trace, residual = _per_step_scan(S, eps, drift_tol=0.0, powers=powers)
+            assert report.t_mix == t_mix
+            assert repr(report.trace) == repr(trace)
+            del seen[:]
+            assert repr(report.identity_residual) == repr(residual)
+            assert np.array_equal(np.concatenate(seen), np.array(powers))
+            renormalized += bool(report._renormalized)
+    assert renormalized >= 24
 
 
 def test_mixing_time_memory_bounded_by_chunk():
@@ -207,7 +245,8 @@ def test_distance_by_binary_powering(monkeypatch):
             d = distance_to_stationarity(S, k)
             assert len(renormalized) <= 2 * k.bit_length()
             # unrenormalized, matrix_power's rows drift by some 4e-12 at
-            # k = 10^6 on the 2-state chain; one division at the end removes it
+            # k = 10^6 on the 2-state chain; one division at the end removes it,
+            # into a new array, as matrix_power(M, 1) returns the chain's own M
             plain = np.linalg.matrix_power(S.matrix, k)
-            plain /= plain.sum(axis=1, keepdims=True)
+            plain = plain / plain.sum(axis=1, keepdims=True)
             assert abs(d - 0.5 * np.abs(plain - pi).sum(axis=1).max()) < 1e-12
