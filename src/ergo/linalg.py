@@ -76,7 +76,12 @@ def as_distribution(x, name="distribution"):
 
 def induced_pnorm(A, p):
     """Exact induced p-norm: max column sum (p=1), spectral norm via SVD (p=2),
-    max row sum (p=inf)."""
+    max row sum (p=inf).
+
+    The SVD is the independent leg that the tests and `verify` hold the
+    p = 2 closed forms against; those take the top eigenvalue of a Gram
+    matrix in `ergodicity._spectral_norms` instead.
+    """
     A = as_matrix(A)
     p = as_pnorm(p)
     if A.size == 0:

@@ -121,6 +121,8 @@ def oracle_tau(v, A, p, mode="exact", samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED
     if not np.any(v):
         raise PreconditionError("anchor must be nonzero")
     p = as_pnorm(p)
+    if mode not in ("exact", "sampling"):
+        raise PreconditionError(f"unknown oracle mode {mode!r}; use 'exact' or 'sampling'")
     n = len(v)
     rng = np.random.default_rng(seed)
 

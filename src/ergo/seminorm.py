@@ -11,7 +11,8 @@ tau engine in `ergodicity` (the R = S Q reduction of `induced_seminorm`); the
 incidence weight is the agreement weight at p = 2 and tau_1(1, A) at p = inf,
 and neither these nor its vector seminorms read its n(n-1) x n matrix.
 
-Psi_q(v, A) = min_c ||A - v c^T||_q is a closed form at q = 2 and the
+Psi_q(v, A) = min_c ||A - v c^T||_q is a closed form at q = 2, valued by
+the spectral-norm kernel of tau_2, `ergodicity._spectral_norms`, and the
 weighted medians of `ergodicity._column_medians` at q = 1.  At q = inf it is
 an LP over convex combinations of each column's kinks, clipped into a box
 that holds a minimizer, solved by column generation on one HiGHS model per
@@ -31,7 +32,8 @@ import scipy.linalg
 from .errors import CrossCheckError, PreconditionError
 from .linalg import (INF, as_matrix, as_pnorm, as_vector, induced_pnorm, oblique_projector,
                      orthogonal_projector, _incidence_rows)
-from .ergodicity import _anchored, _column_medians, _scaled, _stack_chunks, _tau_values, tau
+from .ergodicity import (_anchored, _column_medians, _scaled, _spectral_norms, _stack_chunks,
+                         _tau_values, tau)
 from .oracle import WEIGHT_DIMENSION_CAP, oracle_weighted_seminorm
 
 FACTOR_COND_LIMIT = 1e12
@@ -263,7 +265,8 @@ class DeflationResult:
 
 
 def _deflation_value(v, A, c, q):
-    return induced_pnorm(A - np.outer(v, c), q)
+    X = A - np.outer(v, c)
+    return float(_spectral_norms(X[None])[0]) if q == 2 else induced_pnorm(X, q)
 
 
 def _highs():
@@ -410,7 +413,8 @@ def deflated_norm(v, A, q):
     that `ergodicity._scaled` scales by 2^-ev and 2^-e into [0.5, 1); the
     value and `bound` scale back by 2^e (to inf past the float range,
     without a numpy warning), and `c_star` by 2^(e - ev), with +0.0 for
-    every zero entry.
+    every zero entry; a minimizer past the float range, which only an
+    anchor far below A can have, is refused.
     """
     v, A = _anchored(v, A)
     q = as_pnorm(q)
@@ -446,8 +450,13 @@ def deflated_norm(v, A, q):
         value = float(np.ldexp(value, ea))
         if bound is not None:
             bound = float(np.ldexp(bound, ea))
-    # + 0.0 turns a -0.0 entry, from a kink 0 / -v_i or the projection, to +0.0
-    return DeflationResult(value, np.ldexp(c, ea - ev) + 0.0, q, bound)
+        # + 0.0 turns a -0.0 entry, from a kink 0 / -v_i or the projection, to +0.0
+        c_star = np.ldexp(c, ea - ev) + 0.0
+    if not np.all(np.isfinite(c_star)):
+        raise PreconditionError(
+            f"the minimizing c lies past the float range: an entry "
+            f"{float(np.max(np.abs(c)))!r} times 2^{ea - ev}")
+    return DeflationResult(value, c_star, q, bound)
 
 
 def lmi_l2(A, P):

@@ -1,12 +1,14 @@
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import assume, given, settings, strategies as st
 
 from ergo import (INF, CrossCheckError, PreconditionError, StochasticMatrix,
                   deflated_norm, dobrushin, dominant_pair, induced_pnorm,
                   oracle_tau, tau, tau_oblique)
 from ergo.ergodicity import (BLOCK_ENTRIES, _column_medians, _overlap_form, _pair_blocks,
-                             _tau_values)
+                             _spectral_norms, _tau_values)
 
 rng = np.random.default_rng(7)
 
@@ -403,3 +405,73 @@ def test_tau_is_free_of_the_anchor_scale():
         u = np.ldexp(v, k)
         for p in (1, 2, INF):
             assert repr(tau(u, B, p).value) == repr(tau(np.ldexp(u, -k), B, p).value)
+
+
+def _projected_norm_40_digits(v, A):
+    """||P_v A||_2 from a 40-digit SVD of the exact P_v A."""
+    with mpmath.workdps(40):
+        V = mpmath.matrix(v.tolist())
+        M = mpmath.matrix(A.tolist())
+        X = M - V * (V.T * M) / sum(x * x for x in V)
+        return max(mpmath.svd_r(X, compute_uv=False))
+
+
+def test_spectral_norm_kernel_against_40_digits():
+    # tau_2 and Psi_2 from the top eigenvalue of the scaled Gram matrix,
+    # within 4 n u of a 40-digit SVD: square, wide (Gram X X^T) and tall
+    # (Gram X^T X) shapes, graded entries, singular values down to 1e-14
+    local = np.random.default_rng(41)
+    u = np.finfo(float).eps / 2
+    for m, n in ((2, 2), (5, 5), (12, 12), (3, 11), (4, 12), (11, 3), (12, 6)):
+        k = min(m, n)
+        U, _ = np.linalg.qr(local.standard_normal((m, k)))
+        W, _ = np.linalg.qr(local.standard_normal((n, k)))
+        cases = (local.standard_normal((m, n)),
+                 local.standard_normal((m, n)) * np.logspace(0, -8, m)[:, None]
+                 * np.logspace(0, -6, n),
+                 (U * np.logspace(0, -14, k)) @ W.T)
+        for A in cases:
+            for v in (np.ones(m), local.standard_normal(m)):
+                ref = _projected_norm_40_digits(v, A)
+                for got in (tau(v, A, 2).value, deflated_norm(v, A, 2).value):
+                    assert abs(mpmath.mpf(got) - ref) <= 4 * max(m, n) * u * ref
+
+
+def test_spectral_norm_kernel_at_the_extremes():
+    # P_v A far below A: the Gram matrix of the unscaled 1e-200 underflows
+    assert tau(np.array([1.0, 0.0]), np.diag([0.5, 1e-200]), 2).value == 1e-200
+    local = np.random.default_rng(43)
+    v = local.standard_normal(6)
+    M = local.uniform(-1.0, 1.0, (6, 6))
+    # near the top of the float range and in the subnormals, a power of two
+    # moves no bit of the value
+    for e in (1022, -1070):
+        A = np.ldexp(M, e)
+        assert tau(v, A, 2).value == np.ldexp(tau(v, np.ldexp(A, -e), 2).value, e)
+    assert 9e307 < tau(v, np.ldexp(M, 1022), 2).value < np.inf
+    assert 0.0 < tau(v, np.ldexp(M, -1070), 2).value < 1e-300
+    # P_v A exactly zero
+    assert tau(np.ones(3), np.ones((3, 3)), 2).value == 0.0
+    assert tau(np.array([1.0, 0.0, 0.0]), np.diag([2.0, 0.0, 0.0]), 2).value == 0.0
+    assert deflated_norm(np.ones(3), np.ones((3, 5)), 2).value == 0.0
+    # empty stacks and matrices
+    assert _spectral_norms(np.zeros((0, 3, 3))).shape == (0,)
+    assert _tau_values(np.ones(3), np.zeros((0, 3, 4)), 2).shape == (0,)
+    assert _spectral_norms(np.zeros((2, 3, 0))).tolist() == [0.0, 0.0]
+
+
+def test_spectral_norm_kernel_refuses_a_failed_eigensolve(monkeypatch):
+    real = scipy.linalg.lapack.dsyevr
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr",
+                        lambda *args, **kw: real(*args, **kw)[:4] + (1,))
+    with pytest.raises(CrossCheckError, match="dsyevr failed"):
+        tau(np.ones(3), np.eye(3), 2)
+
+
+def test_spectral_norm_kernel_matches_the_svd_at_scale():
+    local = np.random.default_rng(47)
+    for n in (50, 300):
+        A = local.standard_normal((n, n))
+        for v in (np.ones(n), local.standard_normal(n)):
+            P = np.eye(n) - np.outer(v, v) / (v @ v)
+            assert tau(v, A, 2).value == pytest.approx(induced_pnorm(P @ A, 2), rel=1e-14)

@@ -3,8 +3,8 @@ a function reads must be an attribute of its module or a builtin, every
 module-level import must be read in its module, every parameter of a
 function must be read in its body, every export but three is read by the
 package, the CLI or the benchmark, one function alone imports a private
-scipy module, and no code that `markov.mixing_time` may run reads the
-weighted-median kernel."""
+scipy module, one kernel takes every matrix 2-norm, and no code that
+`markov.mixing_time` may run reads the weighted-median kernel."""
 
 import ast
 import builtins
@@ -167,6 +167,70 @@ def test_two_functions_take_binary_exponents():
                     break
                 stack.extend(ast.iter_child_nodes(node))
     assert takers == ["ergodicity._scaled", "seminorm._deflate_linf"]
+
+
+#: singular-value routines: each one gives a matrix 2-norm
+SVD_ROUTINES = {"svd", "svdvals", "cond"}
+#: eigenvalue routines, which give a 2-norm on a Gram matrix
+EIGEN_ROUTINES = {"eig", "eigh", "eigvals", "eigvalsh", "eigs", "eigsh",
+                  "syev", "syevd", "syevr", "syevx", "dsyev", "dsyevd", "dsyevr", "dsyevx"}
+#: every function that may take a matrix 2-norm, with its routes
+SPECTRAL_NORM_TAKERS = {
+    # the one p = 2 kernel: the top eigenvalue of a scaled Gram matrix
+    "ergodicity._spectral_norms": {"gram-eigen"},
+    # the SVD leg that the tests and `verify` hold the closed forms against
+    "linalg.induced_pnorm": {"norm-2"},
+    # these need the smallest singular value, which the Gram matrix cannot
+    # resolve: a condition number, or the rank of a weight
+    "seminorm.SeminormWeight.factored": {"svd"},
+    "linalg._condition": {"svd"},
+    "verify.suite_spectral": {"svd"},
+    "oracle._weight_rank_check": {"svd"},
+}
+
+
+def _is_gram(node):
+    """X.T @ X or X @ X.T."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+        return False
+    for a, b in ((node.left, node.right), (node.right, node.left)):
+        if isinstance(a, ast.Attribute) and a.attr == "T" and ast.dump(a.value) == ast.dump(b):
+            return True
+    return False
+
+
+def _spectral_routes(fn):
+    """The routes by which fn may take a matrix 2-norm.  A `norm` call with
+    ord 2 counts even on a vector, where it would be the Euclidean norm;
+    the package writes that one without ord."""
+    routes = set()
+    calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    for call in calls:
+        name = (_dotted(call.func) or "").split(".")[-1]
+        if name == "norm":
+            orders = call.args[1:2] + [k.value for k in call.keywords if k.arg == "ord"]
+            if any(isinstance(o, ast.Constant) and o.value == 2 for o in orders):
+                routes.add("norm-2")
+        elif name in SVD_ROUTINES:
+            routes.add("svd")
+    if (any((_dotted(call.func) or "").split(".")[-1] in EIGEN_ROUTINES for call in calls)
+            and any(_is_gram(node) for node in ast.walk(fn))):
+        routes.add("gram-eigen")
+    return routes
+
+
+def test_one_kernel_takes_the_spectral_norm():
+    # a second p = 2 kernel, an SVD or an eigensolve on a Gram matrix,
+    # must not creep back in beside `ergodicity._spectral_norms`
+    takers = {}
+    for module, (functions, classes, _) in _definitions().items():
+        scopes = list(functions.items()) + [(f"{cls}.{name}", fn) for cls, methods in classes.items()
+                                            for name, fn in methods.items()]
+        for name, fn in scopes:
+            routes = _spectral_routes(fn)
+            if routes:
+                takers[f"{module}.{name}"] = routes
+    assert takers == SPECTRAL_NORM_TAKERS
 
 
 def _definitions():

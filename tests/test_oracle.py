@@ -54,6 +54,17 @@ def test_oracle_tau_cap_and_sampling():
     assert res.value <= tau(v, A, 1).value + 1e-9
 
 
+def test_oracle_tau_refuses_an_unknown_mode():
+    # a misspelt mode ran the exact enumeration: the exact value at n <= 6,
+    # and "exact mode capped at n <= 6" at n = 7 or 8
+    for n in (4, 8):
+        A = rng.uniform(-1.0, 1.0, (n, n))
+        for p in (1, 2, INF):
+            for mode in ("sample", "Exact", None):
+                with pytest.raises(PreconditionError, match=f"unknown oracle mode {mode!r}"):
+                    oracle_tau(np.ones(n), A, p, mode=mode)
+
+
 def test_oracle_weighted_frozen():
     res = oracle_weighted_seminorm(A22, SeminormWeight.agreement(2), INF)
     assert abs(res.value - 0.25) < 1e-14

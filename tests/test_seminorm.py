@@ -535,20 +535,24 @@ def test_deflated_norm_is_scale_free(q):
 
 def test_deflated_norm_is_free_of_the_anchor_scale():
     # Psi_q is of degree zero in v and c_star of degree -1.  At 2^-540 the
-    # projection vector's v^T v underflowed and every q was refused; the
-    # subnormal anchor's c_star lies past the float range
+    # projection vector's v^T v underflowed and every q was refused.  The
+    # subnormal anchor's c_star lies past the float range: its entries came
+    # back +-inf with only a numpy warning, and are refused, naming the
+    # exponent, at every q
     local = np.random.default_rng(0)
     B = local.uniform(-1.0, 1.0, (5, 5))
     v = local.standard_normal(5)
-    for k in (-520, -540, -1060):
+    for k in (-520, -540):
         u = np.ldexp(v, k)
         for q in (1, 2, INF):
-            with np.errstate(over="ignore"):
-                res = deflated_norm(u, B, q)
+            res = deflated_norm(u, B, q)
             ref = deflated_norm(np.ldexp(u, -k), B, q)
             assert (repr(res.value), repr(res.bound)) == (repr(ref.value), repr(ref.bound))
-            if k > -1060:
-                assert np.ldexp(res.c_star, k).tobytes() == ref.c_star.tobytes()
+            assert np.ldexp(res.c_star, k).tobytes() == ref.c_star.tobytes()
+    for q in (1, 2, INF):
+        with np.errstate(over="raise"), pytest.raises(
+                PreconditionError, match=r"c lies past the float range: .* times 2\^1060$"):
+            deflated_norm(np.ldexp(v, -1060), B, q)
 
 
 def test_deflated_norm_near_the_top_of_the_float_range():
