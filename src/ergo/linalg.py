@@ -169,6 +169,8 @@ def _stochastic_stack(ms):
     K, n, cols = ms.shape
     if n != cols:
         raise PreconditionError(f"stochastic matrix must be square, got {(n, cols)}")
+    if n == 0:
+        raise PreconditionError("stochastic matrix must have at least one state")
     m = np.ascontiguousarray(ms)
     if m.min() < -ROW_TOLERANCE:
         raise PreconditionError("negative entries beyond row tolerance")

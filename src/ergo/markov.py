@@ -11,29 +11,30 @@ import numpy as np
 
 from .errors import PreconditionError
 from .linalg import INF, StochasticMatrix, dominant_pair
-from .ergodicity import BLOCK_ENTRIES, _tau_values
+from .ergodicity import _stack_chunks, _tau_values
 
 MIXING_CAP = 10 ** 6
 DRIFT_TOL = 1e-12
 
 
-def _drifted_sums(M):
-    """M's row sums when one of them drifts more than DRIFT_TOL from 1,
-    None otherwise."""
-    sums = M.sum(axis=1)
-    # max |s_i - 1| > tol, as s - 1 is monotone in s
-    if sums.max() - 1.0 > DRIFT_TOL or 1.0 - sums.min() > DRIFT_TOL:
-        return sums
-    return None
-
-
 def _renormalize_rows(M):
     """M with its rows divided by their sums, in place, when some row sum
     drifts more than DRIFT_TOL from 1; M untouched otherwise."""
-    sums = _drifted_sums(M)
-    if sums is not None:
+    sums = M.sum(axis=1)
+    # max |s_i - 1| > tol, as s - 1 is monotone in s
+    if sums.max() - 1.0 > DRIFT_TOL or 1.0 - sums.min() > DRIFT_TOL:
         M /= sums[:, None]
     return M
+
+
+def _scan(M):
+    """The powers A^0 = I, A^1, A^2, ... of M, each A^k the product
+    A^(k-1) @ M renormalized in its rows when their drift exceeds DRIFT_TOL;
+    a yielded power is never written again."""
+    Ak = np.eye(len(M))
+    while True:
+        yield Ak
+        Ak = _renormalize_rows(Ak @ M)
 
 
 def _worst_row_tv(Ak, pi):
@@ -79,8 +80,8 @@ class MixingReport:
     identity_residual is the measured gap max_k |d_k - tau_inf(pi,
     (A^k)^T)/2| over k = 0..t_mix; the coefficient is a lower bound on
     2 d_k (strict on most chains), so the residual is reported rather than
-    asserted small.  It is computed on its first read, from the same
-    renormalized powers as the scan, and kept.
+    asserted small.  It is computed on its first read, from a replay of the
+    scan, and kept.
     """
 
     epsilon: float
@@ -88,71 +89,47 @@ class MixingReport:
     trace: list
     _matrix: np.ndarray = field(repr=False, compare=False)
     _pi: np.ndarray = field(repr=False, compare=False)
-    #: the steps k whose product A^(k-1) @ A the scan renormalized
-    _renormalized: frozenset = field(repr=False, compare=False)
 
     @cached_property
     def identity_residual(self):
-        """Rescans A^0..A^t_mix into a buffer of at most BLOCK_ENTRIES
-        entries (one power where a single power exceeds that, at most
-        t_mix + 1 powers), each power a product written in place and
-        renormalized at the scan's steps only, and takes the coefficients of
-        each filled buffer as one stack of the weighted-median kernel."""
-        M, pi = self._matrix, self._pi
+        """Replays `_scan` over A^0..A^t_mix, which makes each
+        renormalization decision again from the same bits, and takes the
+        coefficients of each slice of `_stack_chunks` as one stack of the
+        weighted-median kernel."""
+        pi = self._pi
         n = len(pi)
-        powers = np.empty((min(max(1, BLOCK_ENTRIES // (n * n)), self.t_mix + 1), n, n))
         dists = np.array([d for _, d in self.trace])
-        Ak = np.eye(n)
+        powers = _scan(self._matrix)
         residual = 0.0
-        for k0 in range(0, self.t_mix + 1, len(powers)):
-            chunk = powers[:min(len(powers), self.t_mix + 1 - k0)]
-            for k, out in enumerate(chunk, start=k0):
-                if not k:
-                    out[...] = Ak
-                else:
-                    # with a one-power buffer Ak is out, which matmul allows
-                    np.matmul(Ak, M, out=out)
-                    if k in self._renormalized:
-                        out /= out.sum(axis=1)[:, None]
-                Ak = out
+        for ks in _stack_chunks(len(dists), n, n):
+            chunk = np.stack([next(powers) for _ in dists[ks]])
             coeffs = _tau_values(pi, chunk.transpose(0, 2, 1), INF)
-            gap = np.abs(dists[k0:k0 + len(chunk)] - 0.5 * coeffs).max()
-            residual = max(residual, float(gap))
+            residual = max(residual, float(np.abs(dists[ks] - 0.5 * coeffs).max()))
         return residual
 
 
 def mixing_time(A, epsilon):
     """Smallest k with d(A, k) <= epsilon, by incremental scan.
 
-    Each step is one product A^k = A^(k-1) @ A, renormalized in its rows
-    when their drift exceeds 1e-12, and its distance d(A, k); only the
-    current power is kept.  The scan asserts the standard non-increase of
-    d along k only as a warning; t_mix never relies on early exit.  Chains
-    that fail to mix within MIXING_CAP steps raise.  The report's
-    identity_residual is not computed here: its first read rescans the same
-    powers.
+    `_scan` gives each power A^k = A^(k-1) @ A, renormalized in its rows
+    when their drift exceeds 1e-12, and the scan takes its distance
+    d(A, k); only the current power is kept.  The scan asserts the standard
+    non-increase of d along k only as a warning; t_mix never relies on
+    early exit.  Chains that fail to mix within MIXING_CAP steps raise.  The
+    report's identity_residual is not computed here: its first read replays
+    the scan.
     """
     A = StochasticMatrix.of(A, "mixing time")
     if not (0.0 < epsilon < 1.0):
         raise PreconditionError("epsilon must lie in (0, 1)")
     _, pi = dominant_pair(A)
-    Ak = np.eye(A.n)
-    trace, renormalized = [], []
-    prev = None
-    k = 0
-    while True:
+    trace = []
+    for k, Ak in enumerate(_scan(A.matrix)):
         d = _worst_row_tv(Ak, pi)
+        if trace and d > trace[-1][1] + 1e-12:
+            warnings.warn(f"distance increased at step {k}: {trace[-1][1]} -> {d}", stacklevel=2)
         trace.append((k, d))
-        if prev is not None and d > prev + 1e-12:
-            warnings.warn(f"distance increased at step {k}: {prev} -> {d}", stacklevel=2)
-        prev = d
         if d <= epsilon:
-            return MixingReport(float(epsilon), k, trace, A.matrix, pi, frozenset(renormalized))
+            return MixingReport(float(epsilon), k, trace, A.matrix, pi)
         if k >= MIXING_CAP:
             raise PreconditionError(f"mixing time exceeds the cap {MIXING_CAP}")
-        Ak = Ak @ A.matrix
-        k += 1
-        sums = _drifted_sums(Ak)
-        if sums is not None:
-            Ak /= sums[:, None]
-            renormalized.append(k)

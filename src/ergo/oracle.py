@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,6 +313,11 @@ def oracle_deflation(v, A, q, trials=8):
     v = as_vector(v, "anchor")
     A = as_matrix(A)
     q = as_pnorm(q)
+    try:
+        # numpy integers pass; 1.5 is refused rather than truncated
+        trials = operator.index(trials)
+    except TypeError:
+        raise PreconditionError("trials must be an integer") from None
     if trials < 1:
         raise PreconditionError("trials must be at least 1")
     n = A.shape[1]

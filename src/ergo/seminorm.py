@@ -322,8 +322,11 @@ def _deflate_linf(v, A):
     tolerances relative.  The minimizer is c_j = sum_mu y_{j,mu} mu; by
     convexity its value is at most t.
     """
-    core = _highs()
     m, n = A.shape
+    if n == 0:
+        # no columns: the empty c attains the minimum 0, which is its own bound
+        return np.zeros(0), 0.0
+    core = _highs()
     r = int(np.argmax(np.abs(v)))
     V0 = _deflation_value(v, A, A.T @ v / float(v @ v), INF)
     lo, hi = A[r] / v[r] - V0 / abs(v[r]), A[r] / v[r] + V0 / abs(v[r])
@@ -486,6 +489,9 @@ def lmi_l2(A, P):
     lam = float(v @ A @ v) / float(v @ v)
     if np.linalg.norm(A @ v - lam * v) > KERNEL_INVARIANCE_TOL * max(1.0, np.linalg.norm(A)):
         raise PreconditionError("ker P must be spanned by an eigenvector of A")
+    if n == 1:
+        # v-perp is {0}: the pencil is empty and the seminorm, like b, is 0
+        return 0.0
     U = evecs[:, 1:]
     G1 = U.T @ A.T @ P @ A @ U
     G2 = U.T @ P @ U

@@ -8,6 +8,8 @@ quantify those gaps instead of hiding them.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import PreconditionError
@@ -15,7 +17,7 @@ from .linalg import INF, StochasticMatrix, dominant_pair, orthogonal_projector, 
 from .ergodicity import _tau_values, dobrushin, tau, tau_oblique
 from .seminorm import SeminormWeight, deflated_norm, induced_seminorm
 from .spectral import ess_spectral_radius, optimal_weight, symmetric_l2_identity
-from .markov import _renormalize_rows, _worst_row_tv, distance_to_stationarity
+from .markov import _scan, _worst_row_tv, distance_to_stationarity
 from .oracle import oracle_tau, oracle_weighted_seminorm
 
 def _require_trials(trials):
@@ -60,12 +62,14 @@ def _real_eigenpair(rng, n):
 
 def suite_equivalence(trials=100, seed=0):
     """tau engines against the vertex/iteration oracles and the duality
-    tau_inf = Psi_1, tau_2 = Psi_2; measures the gaps of the one-sided
-    bounds that are often quoted as equalities."""
+    tau_inf = Psi_1, tau_2 = Psi_2, whose two sides share one kernel, so
+    Psi_1 and Psi_2 also meet the plain induced norm at their own c_star;
+    measures the gaps of the one-sided bounds that are often quoted as
+    equalities."""
     _require_trials(trials)
     rng = np.random.default_rng(seed)
     g_t1, g_tinf, g_t2 = [], [], []
-    g_dual_inf1, g_dual_22 = [], []
+    g_dual_inf1, g_dual_22, g_attain1, g_attain2 = [], [], [], []
     m_tau1_psiinf, m_proj_bound, m_semi = [], [], []
     for _ in range(trials):
         n = int(rng.integers(2, 7))
@@ -77,11 +81,13 @@ def suite_equivalence(trials=100, seed=0):
         g_t1.append(abs(t1 - oracle_tau(v, A, 1).value))
         g_tinf.append(abs(tinf - oracle_tau(v, A, INF).value))
         g_t2.append(abs(t2 - oracle_tau(v, A, 2, seed=int(rng.integers(2**31))).value))
-        psi1 = deflated_norm(v, A, 1).value
-        psi2 = deflated_norm(v, A, 2).value
+        psi1 = deflated_norm(v, A, 1)
+        psi2 = deflated_norm(v, A, 2)
         psiinf = deflated_norm(v, A, INF).value
-        g_dual_inf1.append(abs(tinf - psi1))
-        g_dual_22.append(abs(t2 - psi2))
+        g_dual_inf1.append(abs(tinf - psi1.value))
+        g_dual_22.append(abs(t2 - psi2.value))
+        g_attain1.append(abs(psi1.value - induced_pnorm(A - np.outer(v, psi1.c_star), 1)))
+        g_attain2.append(abs(psi2.value - induced_pnorm(A - np.outer(v, psi2.c_star), 2)))
         m_tau1_psiinf.append(psiinf - t1)
         P = orthogonal_projector(v)
         m_proj_bound.append(induced_pnorm(P @ A, INF) - psiinf)
@@ -94,6 +100,8 @@ def suite_equivalence(trials=100, seed=0):
         "tau2_vs_iteration_oracle": {"max_residual": max(g_t2), "tolerance": 1e-7},
         "tauinf_equals_psi1": {"max_residual": max(g_dual_inf1), "tolerance": 1e-9},
         "tau2_equals_psi2": {"max_residual": max(g_dual_22), "tolerance": 1e-9},
+        "psi1_attained_at_c_star": {"max_residual": max(g_attain1), "tolerance": 1e-9},
+        "psi2_attained_at_c_star": {"max_residual": max(g_attain2), "tolerance": 1e-9},
         "tau1_below_psiinf": {"max_residual": max(0.0, -min(m_tau1_psiinf)), "tolerance": 1e-10},
     }
     measurements = {
@@ -235,18 +243,15 @@ def suite_mixing(trials=50, seed=0):
         n = int(rng.integers(2, 7))
         S = _random_stochastic(rng, n)
         _, pi = dominant_pair(S)
-        # d(S, k) for k < 7 from the renormalized powers of mixing_time's
-        # scan, d(S, 7) from distance_to_stationarity's binary powering (the
-        # two round differently from k = 4 on); the definition and the
-        # coefficient from the plain power
-        powers, renormalized = [np.eye(n)], np.eye(n)
-        dists = [_worst_row_tv(renormalized, pi)]
-        for _ in range(1, 7):
-            powers.append(powers[-1] @ S.matrix)
-            renormalized = _renormalize_rows(renormalized @ S.matrix)
-            dists.append(_worst_row_tv(renormalized, pi))
-        powers.append(powers[-1] @ S.matrix)
+        # d(S, k) for k < 7 from mixing_time's scan, d(S, 7) from
+        # distance_to_stationarity's binary powering (the two round
+        # differently from k = 4 on); the definition and the coefficient
+        # from the plain power
+        dists = [_worst_row_tv(Ak, pi) for Ak in itertools.islice(_scan(S.matrix), 7)]
         dists.append(distance_to_stationarity(S, 7))
+        powers = [np.eye(n)]
+        for _ in range(7):
+            powers.append(powers[-1] @ S.matrix)
         coeffs = _tau_values(pi, np.stack(powers).transpose(0, 2, 1), INF)
         for Ak, d, coeff in zip(powers, dists, coeffs):
             direct = 0.5 * float(np.max(np.sum(np.abs(Ak - np.outer(np.ones(n), pi)), axis=1)))

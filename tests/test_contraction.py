@@ -246,6 +246,9 @@ def test_as_sequence_refusals_match_the_per_matrix_loop():
         [good, rows, infinite, negative],
         [good, negative, rows],
         [np.full((3, 3), 1.0 / 3.0), good, rows],
+        # a chain with no states
+        [np.zeros((0, 0))],
+        [good, np.zeros((0, 0))],
     ]
     for seq in cases:
         with pytest.raises(Exception) as expected:
@@ -253,3 +256,6 @@ def test_as_sequence_refusals_match_the_per_matrix_loop():
         with pytest.raises(type(expected.value)) as got:
             as_sequence(seq)
         assert str(got.value) == str(expected.value), seq
+    for seq in ([np.zeros((0, 0))], [good, np.zeros((0, 0))]):
+        with pytest.raises(PreconditionError, match="^stochastic matrix must have at least one state$"):
+            as_sequence(seq)

@@ -458,6 +458,11 @@ def test_spectral_norm_kernel_at_the_extremes():
     assert _spectral_norms(np.zeros((0, 3, 3))).shape == (0,)
     assert _tau_values(np.ones(3), np.zeros((0, 3, 4)), 2).shape == (0,)
     assert _spectral_norms(np.zeros((2, 3, 0))).tolist() == [0.0, 0.0]
+    for q in (1, 2, INF):
+        assert tau(np.ones(2), np.zeros((2, 0)), q).value == 0.0
+        empty = deflated_norm(np.ones(2), np.zeros((2, 0)), q)
+        assert empty.value == 0.0 and empty.c_star.shape == (0,)
+        assert empty.bound == (0.0 if q == INF else None)
 
 
 def test_spectral_norm_kernel_refuses_a_failed_eigensolve(monkeypatch):

@@ -262,3 +262,5 @@ def test_stochastic_matrix_of_is_the_one_gate():
         StochasticMatrix.of(np.eye(2), primitive_for="mixing time")
     with pytest.raises(PreconditionError, match="row sums deviate"):
         StochasticMatrix.of([[0.5, 0.4], [0.25, 0.75]], "mixing time")
+    with pytest.raises(PreconditionError, match="^stochastic matrix must have at least one state$"):
+        StochasticMatrix(np.zeros((0, 0)))

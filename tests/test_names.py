@@ -3,8 +3,9 @@ a function reads must be an attribute of its module or a builtin, every
 module-level import must be read in its module, every parameter of a
 function must be read in its body, every export but three is read by the
 package, the CLI or the benchmark, one function alone imports a private
-scipy module, one kernel takes every matrix 2-norm, and no code that
-`markov.mixing_time` may run reads the weighted-median kernel."""
+scipy module, one kernel takes every matrix 2-norm, no code that
+`markov.mixing_time` may run reads the weighted-median kernel, and one
+generator writes the renormalized powers of a chain."""
 
 import ast
 import builtins
@@ -314,3 +315,29 @@ def test_mixing_scan_never_runs_the_median_kernel():
     residual = _reachable(modules, "markov", "MixingReport")
     assert not any(qual == "MixingReport.identity_residual" for _, qual, _ in residual)
     assert reads_kernel(modules["markov"][1]["MixingReport"]["identity_residual"])
+
+
+def _scopes(modules):
+    """(qualified name, node) of every top-level function and method."""
+    for module, (functions, classes, _) in modules.items():
+        yield from ((f"{module}.{name}", fn) for name, fn in functions.items())
+        for cls, methods in classes.items():
+            yield from ((f"{module}.{cls}.{name}", fn) for name, fn in methods.items())
+
+
+def test_one_generator_scans_the_powers():
+    # `markov._scan` writes A^k = A^(k-1) @ A renormalized once for
+    # mixing_time, its identity_residual replay and verify's mixing suite;
+    # distance_to_stationarity's squaring is a different route to one power
+    modules = _definitions()
+    callers = sorted(name for name, fn in _scopes(modules)
+                     if any(isinstance(node, ast.Call)
+                            and (_dotted(node.func) or "").split(".")[-1] == "_renormalize_rows"
+                            for node in ast.walk(fn)))
+    assert callers == ["markov._scan", "markov.distance_to_stationarity"]
+    functions, classes, _ = modules["markov"]
+    for fn in (functions["mixing_time"], classes["MixingReport"]["identity_residual"]):
+        assert not any((isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+                       or (isinstance(node, ast.Call)
+                           and (_dotted(node.func) or "").split(".")[-1] in ("matmul", "dot"))
+                       for node in ast.walk(fn)), fn.name

@@ -105,8 +105,14 @@ def test_oracle_deflation_examples():
     b = np.array([0.3, 0.7])
     assert oracle_deflation(v, np.outer(v, b), INF, trials=3) < 1e-8
     assert abs(oracle_deflation(np.ones(2), np.eye(2), INF, trials=3) - 1.0) < 1e-8
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^trials must be at least 1$"):
         oracle_deflation(np.ones(2), np.eye(2), INF, trials=0)
+    # a numpy integer passes; a fraction is refused rather than truncated
+    assert (oracle_deflation(np.ones(2), np.eye(2), INF, trials=np.int64(3))
+            == oracle_deflation(np.ones(2), np.eye(2), INF, trials=3))
+    for trials in (1.5, 3.0, "3"):
+        with pytest.raises(PreconditionError, match="^trials must be an integer$"):
+            oracle_deflation(np.ones(2), np.eye(2), INF, trials=trials)
 
 
 def test_oracle_deflation_never_beats_exact_minimum():

@@ -279,6 +279,10 @@ def test_lmi_frozen():
     n = 4
     Pi = orthogonal_projector(np.ones(n))
     assert abs(lmi_l2(Pi, Pi) - 1.0) < 1e-12
+    # at n = 1, v-perp is {0} and the pencil is empty
+    for a in (1.0, -0.3):
+        assert lmi_l2([[a]], [[0.0]]) == 0.0
+        assert induced_seminorm([[a]], SeminormWeight.agreement(1), 2) == 0.0
 
 
 def test_lmi_cross_identity_with_factored_route():

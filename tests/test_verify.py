@@ -1,6 +1,6 @@
 import pytest
 
-from ergo import InputFormatError, PreconditionError, run_suite
+from ergo import InputFormatError, PreconditionError, ergodicity, run_suite, seminorm
 from ergo.verify import SUITES
 
 
@@ -38,3 +38,24 @@ def test_unknown_suite_and_bad_trials():
         run_suite("nope", 5)
     with pytest.raises((InputFormatError, PreconditionError)):
         run_suite("oblique", 0)
+
+
+@pytest.mark.parametrize("kernel, q, inflate", [
+    ("_column_medians", 1, lambda out: (out[0] * (1 + 1e-8), out[1])),
+    ("_spectral_norms", 2, lambda out: out * (1 + 1e-8)),
+])
+def test_attainment_checks_catch_a_fault_in_the_shared_kernel(monkeypatch, kernel, q, inflate):
+    # tau_inf and Psi_1 share the weighted-median kernel, tau_2 and Psi_2 the
+    # spectral-norm kernel, so the duality checks read 0 whatever the kernel
+    # returns; the attainment check takes the plain induced norm at c_star
+    real = getattr(ergodicity, kernel)
+
+    def inflated(*args):
+        return inflate(real(*args))
+
+    monkeypatch.setattr(ergodicity, kernel, inflated)
+    monkeypatch.setattr(seminorm, kernel, inflated)
+    checks = run_suite("equivalence", trials=20, seed=0)["checks"]
+    dual = "tauinf_equals_psi1" if q == 1 else "tau2_equals_psi2"
+    assert checks[dual]["max_residual"] == 0.0
+    assert not checks[f"psi{q}_attained_at_c_star"]["pass"]
