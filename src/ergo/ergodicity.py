@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckError, PreconditionError
-from .linalg import INF, StochasticMatrix, as_matrix, as_pnorm, as_vector, dominant_pair
+from .errors import CrossCheckError
+from .linalg import INF, StochasticMatrix, _anchored, as_pnorm, dominant_pair
 
 DOBRUSHIN_CROSS_TOL = 1e-12
 #: entries in one broadcast temporary of a batched kernel (64 KiB of float64)
@@ -265,18 +265,6 @@ def _tau_values(v, As, p):
         values = _tau_l2(v, As)
     with np.errstate(over="ignore"):
         return np.ldexp(values, ea)
-
-
-def _anchored(v, A):
-    """The validated anchor and matrix of tau_p(v, A) and Psi_q(v, A): finite,
-    v nonzero with one entry per row of A."""
-    v = as_vector(v, "anchor")
-    A = as_matrix(A)
-    if A.shape[0] != len(v):
-        raise PreconditionError(f"anchor length {len(v)} does not match {A.shape[0]} rows")
-    if not np.any(v):
-        raise PreconditionError("anchor must be nonzero")
-    return v, A
 
 
 def tau(v, A, p):

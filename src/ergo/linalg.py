@@ -8,6 +8,7 @@ validation gates every public operation goes through.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,30 @@ def as_vector(x, name="vector"):
     if not np.all(np.isfinite(v)):
         raise PreconditionError(f"{name} contains non-finite entries")
     return v
+
+
+def _anchored(v, A):
+    """The validated anchor and matrix of tau_p(v, A), Psi_q(v, A) and their
+    oracles: finite, v nonzero with one entry per row of A."""
+    v = as_vector(v, "anchor")
+    A = as_matrix(A)
+    if A.shape[0] != len(v):
+        raise PreconditionError(f"anchor length {len(v)} does not match {A.shape[0]} rows")
+    if not np.any(v):
+        raise PreconditionError("anchor must be nonzero")
+    return v, A
+
+
+def _as_count(x, name, least):
+    """x as an int of at least `least`: numpy integers pass, and a fraction
+    or a string is refused rather than truncated."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise PreconditionError(f"{name} must be an integer") from None
+    if x < least:
+        raise PreconditionError(f"{name} must be at least {least}")
+    return x
 
 
 def as_distribution(x, name="distribution"):
@@ -331,6 +356,8 @@ def eigendecompose(A):
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise PreconditionError("eigendecomposition needs a square matrix")
+    if A.size == 0:
+        raise PreconditionError("matrix must have at least one entry")
     values, vectors = _by_modulus(*np.linalg.eig(A))
     diagonalizable = _condition(vectors) < DIAGONALIZABLE_COND
     if not diagonalizable:

@@ -1,28 +1,31 @@
 """Definition-level brute-force evaluators.
 
-These enumerate the actual feasible polytopes of the defining maximization
-problems (exact for p in {1, inf} at desk scale) or run projected power
-iteration with random restarts (p = 2).  They share no code with the closed
-forms they shadow; their entire purpose is to catch a wrong closed form.
+These evaluate the defining maximization problems literally.  For p in
+{1, inf} they enumerate the vertices of the feasible polytopes (exact at
+desk scale).  For p = 2 the maximum of a quadratic ratio over a hyperplane
+is a singular-value problem, or a symmetric-definite pencil, on an
+orthonormal basis of that hyperplane (Golub & Van Loan, Matrix
+Computations, 4th ed., 2.4 and 8.7), solved directly by one SVD, with no
+sampling or iteration.  They share no code with the closed forms they
+shadow and import from the package only `errors` and `linalg`; their
+entire purpose is to catch a wrong closed form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import PreconditionError
-from .linalg import INF, as_matrix, as_pnorm, as_vector, induced_pnorm
+from .linalg import INF, _anchored, _as_count, as_matrix, as_pnorm, induced_pnorm
 
 TAU_DIMENSION_CAP = 6
 WEIGHT_DIMENSION_CAP = 5
 FEASIBILITY_TOL = 1e-10
-ITERATION_TOL = 1e-10
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 0
 
@@ -95,15 +98,10 @@ def _tau_vertices_linf(v):
 
 
 def _sample_feasible(v, n, p, samples, rng):
-    """Random points of {||x||_p <= 1} cap v-perp."""
+    """Random points of {||x||_p <= 1} cap v-perp, p in {1, inf}."""
     P = np.eye(n) - np.outer(v, v) / float(v @ v)
     X = rng.standard_normal((samples, n)) @ P.T
-    if p == 1:
-        norms = np.sum(np.abs(X), axis=1)
-    elif p == INF:
-        norms = np.max(np.abs(X), axis=1)
-    else:
-        norms = np.linalg.norm(X, axis=1)
+    norms = np.sum(np.abs(X), axis=1) if p == 1 else np.max(np.abs(X), axis=1)
     keep = norms > 1e-12
     return X[keep] / norms[keep, None]
 
@@ -111,47 +109,35 @@ def _sample_feasible(v, n, p, samples, rng):
 def oracle_tau(v, A, p, mode="exact", samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
     """Literal evaluation of max { ||A^T x||_p : ||x||_p <= 1, x perp v }.
 
-    p in {1, inf}: exact vertex enumeration up to n = 6 (or feasible-set
-    sampling in sampling mode).  p = 2: power iteration on the projected
-    operator seeded from the best of `samples` random feasible points.
+    p in {1, inf}: exact vertex enumeration up to n = 6, or the best of
+    `samples` random feasible points drawn with `seed` in sampling mode.
+    p = 2: the largest singular value of A^T U, U an orthonormal basis of
+    v-perp, with the witness U y for y its right singular vector; 0 when
+    v-perp is {0}.  The SVD is exact to rounding but reported with
+    exact = False, like every eigen route.
     """
-    v = as_vector(v, "anchor")
-    A = as_matrix(A)
-    if A.shape[0] != len(v):
-        raise PreconditionError("anchor length does not match matrix rows")
-    if not np.any(v):
-        raise PreconditionError("anchor must be nonzero")
+    v, A = _anchored(v, A)
     p = as_pnorm(p)
     if mode not in ("exact", "sampling"):
         raise PreconditionError(f"unknown oracle mode {mode!r}; use 'exact' or 'sampling'")
+    samples = _as_count(samples, "samples", 1)
     n = len(v)
-    rng = np.random.default_rng(seed)
 
     if p == 2:
-        P = np.eye(n) - np.outer(v, v) / float(v @ v)
-        X = _sample_feasible(v, n, 2, samples, rng)
-        vals = np.linalg.norm(X @ A, axis=1)
-        x = X[int(np.argmax(vals))] if len(X) else P[:, 0] / np.linalg.norm(P[:, 0])
-        M = P @ (A @ A.T) @ P
-        lam = float(x @ M @ x)
-        for _ in range(20_000):
-            y = M @ x
-            norm = np.linalg.norm(y)
-            if norm <= 1e-300:
-                break
-            y /= norm
-            lam_next = float(y @ M @ y)
-            x = y
-            if abs(lam_next - lam) <= ITERATION_TOL * max(1.0, lam_next):
-                lam = lam_next
-                break
-            lam = lam_next
-        return OracleResult(math.sqrt(max(lam, 0.0)), False, x, samples)
+        U = scipy.linalg.null_space(v.reshape(1, n))
+        B = A.T @ U
+        if B.size == 0:
+            return OracleResult(0.0, False, np.zeros(n), 0)
+        _, s, Vt = np.linalg.svd(B, full_matrices=False)
+        return OracleResult(float(s[0]), False, U @ Vt[0], 0)
 
     if mode == "sampling" or n > TAU_DIMENSION_CAP:
         if mode != "sampling":
             raise PreconditionError(f"exact mode capped at n <= {TAU_DIMENSION_CAP}")
-        X = _sample_feasible(v, n, p, samples, rng)
+        X = _sample_feasible(v, n, p, samples, np.random.default_rng(seed))
+        if not len(X):
+            # v-perp is {0}
+            return OracleResult(0.0, False, np.zeros(n), samples)
         vals = [_pnorm(A.T @ x, p) for x in X]
         k = int(np.argmax(vals))
         return OracleResult(float(vals[k]), False, X[k], samples)
@@ -225,8 +211,14 @@ def oracle_weighted_seminorm(A, weight, p):
 
     Exact polytope vertex enumeration for p in {1, inf} up to n = 5; for the
     incidence weight at p = inf the vertices are the two-level subset points,
-    enumerated directly.  p = 2 runs generalized Rayleigh iteration on the
-    pencil ((RA)^T RA, R^T R) restricted to the kernel complement.
+    enumerated directly.  p = 2 is the square root of the top eigenvalue of
+    the pencil ((RAU)^T RAU, (RU)^T RU), U an orthonormal basis of the
+    kernel complement.  With RU = QT (QR), z = Ty turns it into the largest
+    singular value of RAU T^-1, whose rounding error grows with cond(RU),
+    not with its square as a Cholesky solve of the pencil's does.  The
+    witness is U y for z the top right singular vector, scaled to
+    ||RUy||_2 = 1; the value is reported with exact = False like every
+    eigen route.
     """
     A = as_matrix(A)
     R = weight.matrix
@@ -238,40 +230,14 @@ def oracle_weighted_seminorm(A, weight, p):
     _weight_rank_check(R, n)
 
     if p == 2:
-        rng = np.random.default_rng(DEFAULT_SEED)
+        if n == 1:
+            return OracleResult(0.0, False, np.zeros(1), 0)
         U = scipy.linalg.null_space(kernel.reshape(1, n))
-        RA = R @ A
-        G1 = U.T @ (RA.T @ RA) @ U
-        G2 = U.T @ (R.T @ R) @ U
-        cho = scipy.linalg.cho_factor(G2)
-        y = rng.standard_normal(n - 1)
-        best = -1.0
-        x = U @ y
-        used = 0
-        for start in range(8):
-            if start:
-                y = rng.standard_normal(n - 1)
-            lam = 0.0
-            for _ in range(20_000):
-                z = scipy.linalg.cho_solve(cho, G1 @ y)
-                norm = np.linalg.norm(z)
-                if norm <= 1e-300:
-                    break
-                z /= norm
-                lam_next = float(z @ G1 @ z) / float(z @ G2 @ z)
-                y = z
-                used += 1
-                if abs(lam_next - lam) <= ITERATION_TOL * max(1.0, lam_next):
-                    lam = lam_next
-                    break
-                lam = lam_next
-            if lam > best:
-                best = lam
-                x = U @ y
-        best = max(best, 0.0)
-        denom = _pnorm(R @ x, 2)
-        witness = x / denom if denom > 0 else x
-        return OracleResult(math.sqrt(max(best, 0.0)), False, witness, used)
+        T = np.linalg.qr(R @ U, mode="r")
+        M = scipy.linalg.solve_triangular(T, (R @ (A @ U)).T, trans="T").T
+        _, s, Vt = np.linalg.svd(M)
+        x = U @ scipy.linalg.solve_triangular(T, Vt[0])
+        return OracleResult(float(s[0]), False, x / _pnorm(R @ x, 2), 0)
 
     if n > WEIGHT_DIMENSION_CAP:
         raise PreconditionError(f"exact weighted oracle capped at n <= {WEIGHT_DIMENSION_CAP}")
@@ -310,16 +276,9 @@ def oracle_deflation(v, A, q, trials=8):
     `trials` random starts, then a simplex polish of the best point."""
     import scipy.optimize
 
-    v = as_vector(v, "anchor")
-    A = as_matrix(A)
+    v, A = _anchored(v, A)
     q = as_pnorm(q)
-    try:
-        # numpy integers pass; 1.5 is refused rather than truncated
-        trials = operator.index(trials)
-    except TypeError:
-        raise PreconditionError("trials must be an integer") from None
-    if trials < 1:
-        raise PreconditionError("trials must be at least 1")
+    trials = _as_count(trials, "trials", 1)
     n = A.shape[1]
     rng = np.random.default_rng(DEFAULT_SEED)
     scale = max(1.0, float(np.max(np.abs(A))))

@@ -31,9 +31,8 @@ import scipy.linalg
 
 from .errors import CrossCheckError, PreconditionError
 from .linalg import (INF, as_matrix, as_pnorm, as_vector, induced_pnorm, oblique_projector,
-                     orthogonal_projector, _incidence_rows)
-from .ergodicity import (_anchored, _column_medians, _scaled, _spectral_norms, _stack_chunks,
-                         _tau_values, tau)
+                     orthogonal_projector, _anchored, _as_count, _incidence_rows)
+from .ergodicity import _column_medians, _scaled, _spectral_norms, _stack_chunks, _tau_values, tau
 from .oracle import WEIGHT_DIMENSION_CAP, oracle_weighted_seminorm
 
 FACTOR_COND_LIMIT = 1e12
@@ -84,12 +83,12 @@ class SeminormWeight:
 
     @classmethod
     def agreement(cls, n):
-        ones = np.ones(n)
+        ones = np.ones(_as_count(n, "weight dimension", 1))
         return cls("agreement", orthogonal_projector(ones), ones, anchor=ones)
 
     @classmethod
     def incidence(cls, n):
-        if n < 2:
+        if _as_count(n, "weight dimension", 1) < 2:
             raise PreconditionError("complete graph incidence needs n >= 2")
         return cls("incidence", None, np.ones(n))
 
@@ -159,9 +158,18 @@ def _kernel_residuals(As, kernel):
     return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0]) / np.sqrt(kk)
 
 
+def _weighted(A, weight):
+    """A as a finite n x n matrix, for a weight on R^n."""
+    A = as_matrix(A)
+    n = weight.n
+    if A.shape != (n, n):
+        raise PreconditionError(f"matrix shape {A.shape} does not match weight on R^{n}")
+    return A
+
+
 def kernel_invariance_residual(A, weight):
     """Relative residual of ker R under A, via the Rayleigh eigenvalue estimate."""
-    return float(_kernel_residuals(A[None], weight.kernel)[0])
+    return float(_kernel_residuals(_weighted(A, weight)[None], weight.kernel)[0])
 
 
 def _reduced_seminorms(As, weight, p):
@@ -232,11 +240,9 @@ def induced_seminorm(A, weight, p):
     kernel that is not A-invariant, or incidence p = 1) go to the
     brute-force evaluator up to n <= 5; larger inputs are refused.
     """
-    A = as_matrix(A)
+    A = _weighted(A, weight)
     p = as_pnorm(p)
     n = weight.n
-    if A.shape != (n, n):
-        raise PreconditionError(f"matrix shape {A.shape} does not match weight on R^{n}")
     if weight.kind not in ("orthogonal", "oblique", "agreement", "incidence", "factored"):
         raise PreconditionError(f"unknown weight kind {weight.kind!r}")
 
@@ -475,6 +481,8 @@ def lmi_l2(A, P):
     n = A.shape[0]
     if A.shape != (n, n) or P.shape != (n, n):
         raise PreconditionError("A and P must be square of the same size")
+    if n == 0:
+        raise PreconditionError("matrix must have at least one entry")
     if np.max(np.abs(P - P.T)) > 1e-10:
         raise PreconditionError("P must be symmetric")
     evals, evecs = np.linalg.eigh(P)

@@ -77,6 +77,8 @@ def _unwrap(A):
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise PreconditionError("square matrix required")
+    if A.size == 0:
+        raise PreconditionError("matrix must have at least one entry")
     primitive = bool(np.min(A) >= 0.0) and _boolean_primitive(A > 0.0, A.shape[0])
     return A, primitive
 

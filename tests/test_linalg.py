@@ -241,6 +241,12 @@ def test_distribution_validation():
         as_distribution([-0.2, 1.2])
 
 
+def test_eigendecompose_refuses_an_empty_matrix():
+    # a 0 x 0 matrix leaked an IndexError
+    with pytest.raises(PreconditionError, match="^matrix must have at least one entry$"):
+        eigendecompose(np.zeros((0, 0)))
+
+
 def test_eigendecompose_repeated_semisimple_eigenvalue():
     for n in (4, 7):
         d = eigendecompose(np.full((n, n), 1.0 / n))

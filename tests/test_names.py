@@ -4,8 +4,9 @@ module-level import must be read in its module, every parameter of a
 function must be read in its body, every export but three is read by the
 package, the CLI or the benchmark, one function alone imports a private
 scipy module, one kernel takes every matrix 2-norm, no code that
-`markov.mixing_time` may run reads the weighted-median kernel, and one
-generator writes the renormalized powers of a chain."""
+`markov.mixing_time` may run reads the weighted-median kernel, one
+generator writes the renormalized powers of a chain, and the oracles import
+from the package only `errors` and `linalg`."""
 
 import ast
 import builtins
@@ -181,6 +182,12 @@ SPECTRAL_NORM_TAKERS = {
     "ergodicity._spectral_norms": {"gram-eigen"},
     # the SVD leg that the tests and `verify` hold the closed forms against
     "linalg.induced_pnorm": {"norm-2"},
+    # the definition-level p = 2 oracles, independent legs like
+    # `linalg.induced_pnorm`: SVDs on a basis of v-perp and of the kernel
+    # complement.  The guard keeps out a second p = 2 closed form, not the
+    # oracles that shadow the one there is
+    "oracle.oracle_tau": {"svd"},
+    "oracle.oracle_weighted_seminorm": {"svd"},
     # these need the smallest singular value, which the Gram matrix cannot
     # resolve: a condition number, or the rank of a weight
     "seminorm.SeminormWeight.factored": {"svd"},
@@ -188,6 +195,23 @@ SPECTRAL_NORM_TAKERS = {
     "verify.suite_spectral": {"svd"},
     "oracle._weight_rank_check": {"svd"},
 }
+
+
+def test_oracles_import_only_errors_and_linalg():
+    # the oracles shadow the closed forms of `ergodicity` and `seminorm`, so
+    # they must not come to share code with them: every import from the
+    # package, at any depth of `oracle.py`, is of `errors` or `linalg`
+    path = SRC / "oracle.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # `from . import x` names modules; `from .x import y` names module x
+            imported |= {a.name for a in node.names} if node.module is None else {node.module}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ergo":
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.split(".")[0] == "ergo"}
+    assert imported == {"errors", "linalg"}
 
 
 def _is_gram(node):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -125,3 +126,115 @@ def test_oracle_deflation_never_beats_exact_minimum():
             found = oracle_deflation(v, A, q, trials=4)
             assert found >= exact - 1e-10
             assert found <= exact + 1e-6
+
+
+def _projected_norm_40_digits(v, A):
+    """||P_v A||_2 from a 40-digit SVD of the exact P_v A."""
+    with mpmath.workdps(40):
+        V = mpmath.matrix(v.tolist())
+        M = mpmath.matrix(A.tolist())
+        X = M - V * (V.T * M) / sum(x * x for x in V)
+        return max(mpmath.svd_r(X, compute_uv=False))
+
+
+def test_oracle_tau_p2_against_40_digits():
+    # square and rectangular A, anchors with a zero entry, m = 1 (v-perp is
+    # {0}, which divided 0 by 0): within 8 n u of a 40-digit SVD, with a
+    # witness that is feasible and attains the value
+    local = np.random.default_rng(71)
+    u = np.finfo(float).eps / 2
+    for m in range(1, 7):
+        for k in range(1, 7):
+            A = local.standard_normal((m, k))
+            for v in (np.ones(m), local.standard_normal(m)):
+                if m > 2:
+                    v[local.integers(m)] = 0.0
+                res = oracle_tau(v, A, 2)
+                assert not res.exact and res.samples_used == 0
+                if m == 1:
+                    assert res.value == 0.0 and res.witness.tolist() == [0.0]
+                    continue
+                ref = _projected_norm_40_digits(v, A)
+                assert abs(mpmath.mpf(res.value) - ref) <= 8 * max(m, k) * u * ref
+                assert abs(np.linalg.norm(res.witness) - 1.0) < 1e-14
+                assert abs(v @ res.witness) < 1e-14 * np.linalg.norm(v)
+                assert abs(np.linalg.norm(A.T @ res.witness) - res.value) < 1e-14 * res.value
+
+
+def _pencil_top_40_digits(A, weight):
+    """sqrt of the top eigenvalue of the pencil ((RAB)^T RAB, (RB)^T RB) in
+    40 digits, B a basis of the kernel complement: the exact projector's
+    columns but the one of the largest kernel entry."""
+    R, kernel, n = weight.matrix, weight.kernel, weight.n
+    with mpmath.workdps(40):
+        K = mpmath.matrix(kernel.tolist())
+        P = mpmath.eye(n) - K * K.T / sum(x * x for x in K)
+        skip = int(np.argmax(np.abs(kernel)))
+        B = mpmath.matrix(n, n - 1)
+        for c, col in enumerate(j for j in range(n) if j != skip):
+            for r in range(n):
+                B[r, c] = P[r, col]
+        RM = mpmath.matrix(R.tolist())
+        X = RM * mpmath.matrix(A.tolist()) * B
+        Y = RM * B
+        L_inv = mpmath.inverse(mpmath.cholesky(Y.T * Y))
+        C = L_inv * (X.T * X) * L_inv.T
+        return mpmath.sqrt(max(mpmath.eigsy((C + C.T) / 2, eigvals_only=True)))
+
+
+def test_oracle_weighted_p2_against_40_digits():
+    # every weight kind, factored ones with cond(S) = 1e3 and singular values
+    # graded from 1 to 1e-3, on kernels that are not A-invariant: within
+    # 1e-13 of a 40-digit solve of the same pencil, relative, with a witness
+    # on the unit sphere of ||R x||_2 in the kernel complement
+    local = np.random.default_rng(73)
+
+    def graded_factor(n):
+        Q1, _ = np.linalg.qr(local.standard_normal((n, n)))
+        Q2, _ = np.linalg.qr(local.standard_normal((n, n)))
+        return (Q1 * np.logspace(0, -3, n)) @ Q2.T
+
+    for n in range(2, 6):
+        for _ in range(4):
+            A = local.uniform(-1.0, 1.0, (n, n))
+            v = local.standard_normal(n)
+            w = local.uniform(0.1, 1.0, n)
+            weights = (SeminormWeight.orthogonal(v), SeminormWeight.oblique(w / w.sum()),
+                       SeminormWeight.agreement(n), SeminormWeight.incidence(n),
+                       SeminormWeight.factored(graded_factor(n), v),
+                       SeminormWeight.factored(graded_factor(n), np.ones(n)))
+            for W in weights:
+                res = oracle_weighted_seminorm(A, W, 2)
+                assert not res.exact and res.samples_used == 0
+                ref = _pencil_top_40_digits(A, W)
+                assert abs(mpmath.mpf(res.value) - ref) <= 1e-13 * ref, (n, W.kind)
+                x = res.witness
+                assert abs(np.linalg.norm(W.matrix @ x) - 1.0) < 1e-12
+                assert abs(W.kernel @ x) < 1e-12 * np.linalg.norm(W.kernel) * np.linalg.norm(x)
+                assert abs(np.linalg.norm(W.matrix @ (A @ x)) - res.value) < 1e-12 * res.value
+    one = oracle_weighted_seminorm(np.eye(1), SeminormWeight.agreement(1), 2)
+    assert one.value == 0.0 and one.witness.tolist() == [0.0]
+
+
+def test_oracles_refuse_a_malformed_anchor():
+    # oracle_deflation leaked a matmul ValueError on a short anchor and
+    # searched on nan after dividing by a zero one
+    for oracle in (oracle_tau, oracle_deflation):
+        with pytest.raises(PreconditionError, match="^anchor length 3 does not match 2 rows$"):
+            oracle(np.ones(3), np.eye(2), INF)
+        with pytest.raises(PreconditionError, match="^anchor must be nonzero$"):
+            oracle(np.zeros(2), np.eye(2), INF)
+
+
+def test_oracle_tau_refuses_malformed_samples():
+    # 0 leaked "attempt to get argmax of an empty sequence", 2.5 a TypeError
+    A = np.eye(3)
+    with pytest.raises(PreconditionError, match="^samples must be at least 1$"):
+        oracle_tau(np.ones(3), A, 1, mode="sampling", samples=0)
+    for samples in (2.5, "10"):
+        with pytest.raises(PreconditionError, match="^samples must be an integer$"):
+            oracle_tau(np.ones(3), A, 1, mode="sampling", samples=samples)
+    assert (oracle_tau(np.ones(3), A, 1, mode="sampling", samples=np.int64(50)).value
+            == oracle_tau(np.ones(3), A, 1, mode="sampling", samples=50).value)
+    # v-perp is {0} at n = 1: no feasible point but 0
+    assert oracle_tau(np.ones(1), [[0.5]], INF, mode="sampling").value == 0.0

@@ -42,6 +42,25 @@ def test_weight_construction():
         induced_seminorm(A22, unknown, 1)
 
 
+def test_weight_dimension_and_matrix_refusals():
+    # each leaked a traceback: numpy's "negative dimensions are not allowed",
+    # a TypeError for a fraction, a TypeError for a list matrix in
+    # kernel_invariance_residual and a matmul ValueError for a wrong shape
+    for make in (SeminormWeight.agreement, SeminormWeight.incidence):
+        with pytest.raises(PreconditionError, match="^weight dimension must be at least 1$"):
+            make(-1)
+        with pytest.raises(PreconditionError, match="^weight dimension must be an integer$"):
+            make(2.5)
+        assert make(np.int64(3)).n == 3
+    with pytest.raises(PreconditionError, match="^complete graph incidence needs n >= 2$"):
+        SeminormWeight.incidence(1)
+    assert kernel_invariance_residual([[1.0, 0], [0, 1]], SeminormWeight.agreement(2)) == 0.0
+    with pytest.raises(PreconditionError, match=r"^matrix shape \(2, 2\) does not match weight on R\^3$"):
+        kernel_invariance_residual(np.eye(2), SeminormWeight.agreement(3))
+    with pytest.raises(PreconditionError, match="^matrix must have at least one entry$"):
+        lmi_l2(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
 def test_vector_seminorm_examples():
     for W in (SeminormWeight.agreement(3), SeminormWeight.incidence(3),
               SeminormWeight.orthogonal(np.ones(3)),

@@ -176,6 +176,13 @@ def test_optimal_weight_complex_pairs_closed_form():
         assert rho <= ow.certified_value <= np.sqrt(2.0) * rho
 
 
+def test_spectral_calls_refuse_an_empty_matrix():
+    # a 0 x 0 matrix leaked numpy's ValueError from the primitivity test
+    for call in (ess_spectral_radius, lambda A: optimal_weight(A, 0.1)):
+        with pytest.raises(PreconditionError, match="^matrix must have at least one entry$"):
+            call(np.zeros((0, 0)))
+
+
 def test_optimal_weight_refuses_above_epsilon():
     A = np.array([[0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [0.8, 0.1, 0.1]])
     # |Re| + |Im| of -0.35 +- 0.35 sqrt(3) i

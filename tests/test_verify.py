@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ergo import InputFormatError, PreconditionError, ergodicity, run_suite, seminorm
@@ -40,6 +41,20 @@ def test_unknown_suite_and_bad_trials():
         run_suite("oblique", 0)
 
 
+def test_run_suite_refuses_malformed_trials_and_seed():
+    # a fraction or a string leaked a TypeError, and a negative seed
+    # numpy's ValueError; numpy integers pass
+    for trials in (2.5, "3"):
+        with pytest.raises(PreconditionError, match="^trials must be an integer$"):
+            run_suite("oblique", trials)
+    with pytest.raises(PreconditionError, match="^seed must be at least 0$"):
+        run_suite("oblique", 3, -1)
+    for seed in (1.5, "1", None):
+        with pytest.raises(PreconditionError, match="^seed must be an integer$"):
+            run_suite("oblique", 3, seed)
+    assert run_suite("oblique", np.int64(3), np.int64(1)) == run_suite("oblique", 3, 1)
+
+
 @pytest.mark.parametrize("kernel, q, inflate", [
     ("_column_medians", 1, lambda out: (out[0] * (1 + 1e-8), out[1])),
     ("_spectral_norms", 2, lambda out: out * (1 + 1e-8)),
@@ -59,3 +74,19 @@ def test_attainment_checks_catch_a_fault_in_the_shared_kernel(monkeypatch, kerne
     dual = "tauinf_equals_psi1" if q == 1 else "tau2_equals_psi2"
     assert checks[dual]["max_residual"] == 0.0
     assert not checks[f"psi{q}_attained_at_c_star"]["pass"]
+    if q == 2:
+        # the exact p = 2 oracles catch it as well
+        assert not checks["tau2_vs_svd_oracle"]["pass"]
+        assert not run_suite("conjecture", trials=20, seed=0)["checks"]["p2_proportionality"]["pass"]
+
+
+def test_dobrushin_check_catches_a_fault_in_both_forms(monkeypatch):
+    # a fault that the half-sum and the overlap form share passes dobrushin's
+    # own cross-check; its check against the vertex oracle must fail
+    for kernel in ("_tau_l1", "_overlap_form"):
+        real = getattr(ergodicity, kernel)
+        monkeypatch.setattr(ergodicity, kernel,
+                            lambda *args, real=real: real(*args) * (1 + 1e-8))
+    checks = run_suite("incidence", trials=20, seed=0)["checks"]
+    assert checks["incidence_sup_equals_dobrushin"]["pass"]
+    assert not checks["dobrushin_equals_tau1"]["pass"]
