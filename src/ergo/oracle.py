@@ -26,7 +26,6 @@ from .linalg import INF, _anchored, _as_count, as_matrix, as_pnorm, induced_pnor
 TAU_DIMENSION_CAP = 6
 WEIGHT_DIMENSION_CAP = 5
 FEASIBILITY_TOL = 1e-10
-DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 0
 
 
@@ -35,7 +34,6 @@ class OracleResult:
     value: float
     exact: bool
     witness: np.ndarray
-    samples_used: int
 
 
 def _pnorm(x, p):
@@ -97,20 +95,10 @@ def _tau_vertices_linf(v):
     return verts
 
 
-def _sample_feasible(v, n, p, samples, rng):
-    """Random points of {||x||_p <= 1} cap v-perp, p in {1, inf}."""
-    P = np.eye(n) - np.outer(v, v) / float(v @ v)
-    X = rng.standard_normal((samples, n)) @ P.T
-    norms = np.sum(np.abs(X), axis=1) if p == 1 else np.max(np.abs(X), axis=1)
-    keep = norms > 1e-12
-    return X[keep] / norms[keep, None]
-
-
-def oracle_tau(v, A, p, mode="exact", samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
+def oracle_tau(v, A, p):
     """Literal evaluation of max { ||A^T x||_p : ||x||_p <= 1, x perp v }.
 
-    p in {1, inf}: exact vertex enumeration up to n = 6, or the best of
-    `samples` random feasible points drawn with `seed` in sampling mode.
+    p in {1, inf}: exact vertex enumeration up to n = 6, refused above.
     p = 2: the largest singular value of A^T U, U an orthonormal basis of
     v-perp, with the witness U y for y its right singular vector; 0 when
     v-perp is {0}.  The SVD is exact to rounding but reported with
@@ -118,29 +106,18 @@ def oracle_tau(v, A, p, mode="exact", samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED
     """
     v, A = _anchored(v, A)
     p = as_pnorm(p)
-    if mode not in ("exact", "sampling"):
-        raise PreconditionError(f"unknown oracle mode {mode!r}; use 'exact' or 'sampling'")
-    samples = _as_count(samples, "samples", 1)
     n = len(v)
 
     if p == 2:
         U = scipy.linalg.null_space(v.reshape(1, n))
         B = A.T @ U
         if B.size == 0:
-            return OracleResult(0.0, False, np.zeros(n), 0)
+            return OracleResult(0.0, False, np.zeros(n))
         _, s, Vt = np.linalg.svd(B, full_matrices=False)
-        return OracleResult(float(s[0]), False, U @ Vt[0], 0)
+        return OracleResult(float(s[0]), False, U @ Vt[0])
 
-    if mode == "sampling" or n > TAU_DIMENSION_CAP:
-        if mode != "sampling":
-            raise PreconditionError(f"exact mode capped at n <= {TAU_DIMENSION_CAP}")
-        X = _sample_feasible(v, n, p, samples, np.random.default_rng(seed))
-        if not len(X):
-            # v-perp is {0}
-            return OracleResult(0.0, False, np.zeros(n), samples)
-        vals = [_pnorm(A.T @ x, p) for x in X]
-        k = int(np.argmax(vals))
-        return OracleResult(float(vals[k]), False, X[k], samples)
+    if n > TAU_DIMENSION_CAP:
+        raise PreconditionError(f"exact oracle capped at n <= {TAU_DIMENSION_CAP}")
 
     verts = _tau_vertices_l1(v) if p == 1 else _tau_vertices_linf(v)
     best, witness = 0.0, np.zeros(n)
@@ -148,7 +125,7 @@ def oracle_tau(v, A, p, mode="exact", samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED
         val = _pnorm(A.T @ x, p)
         if val > best:
             best, witness = val, x
-    return OracleResult(float(best), True, witness, 0)
+    return OracleResult(float(best), True, witness)
 
 
 def _weight_rank_check(R, n):
@@ -231,13 +208,13 @@ def oracle_weighted_seminorm(A, weight, p):
 
     if p == 2:
         if n == 1:
-            return OracleResult(0.0, False, np.zeros(1), 0)
+            return OracleResult(0.0, False, np.zeros(1))
         U = scipy.linalg.null_space(kernel.reshape(1, n))
         T = np.linalg.qr(R @ U, mode="r")
         M = scipy.linalg.solve_triangular(T, (R @ (A @ U)).T, trans="T").T
         _, s, Vt = np.linalg.svd(M)
         x = U @ scipy.linalg.solve_triangular(T, Vt[0])
-        return OracleResult(float(s[0]), False, x / _pnorm(R @ x, 2), 0)
+        return OracleResult(float(s[0]), False, x / _pnorm(R @ x, 2))
 
     if n > WEIGHT_DIMENSION_CAP:
         raise PreconditionError(f"exact weighted oracle capped at n <= {WEIGHT_DIMENSION_CAP}")
@@ -258,7 +235,7 @@ def oracle_weighted_seminorm(A, weight, p):
         val = _pnorm(R @ (A @ x), p)
         if val > best:
             best, witness = val, x
-    return OracleResult(float(best), True, witness, 0)
+    return OracleResult(float(best), True, witness)
 
 
 def _line_search(f, lo=-8.0, hi=8.0):

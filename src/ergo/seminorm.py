@@ -5,11 +5,15 @@ Every induced seminorm here is the literal constrained maximum
 
     |||A|||_{p,R} = max { ||R A x||_p : ||R x||_p <= 1, x perp ker R }
 
-computed exactly.  When ker R is A-invariant, every weight but the incidence
-one reduces to a p-ball inside a hyperplane, that is to one call of the exact
-tau engine in `ergodicity` (the R = S Q reduction of `induced_seminorm`); the
-incidence weight is the agreement weight at p = 2 and tau_1(1, A) at p = inf,
-and neither these nor its vector seminorms read its n(n-1) x n matrix.
+computed exactly.  It reads A only on ker R-perp, where A equals A P_k, P_k
+the orthogonal projector onto it, and ker R is A P_k-invariant.  So every
+weight but the incidence one reduces to a p-ball inside a hyperplane, that
+is to one call of the exact tau engine in `ergodicity` (the R = S Q
+reduction of `induced_seminorm`), for every A and every n; the incidence
+weight is the agreement weight at p = 2 and tau_1(1, A P_1) at p = inf, and
+neither these nor its vector seminorms read its n(n-1) x n matrix.  Only
+the incidence weight at p = 1 has no closed form: the brute-force oracle
+answers it up to n <= 5, and it is refused above.
 
 Psi_q(v, A) = min_c ||A - v c^T||_q is a closed form at q = 2, valued by
 the spectral-norm kernel of tau_2, `ergodicity._spectral_norms`, and the
@@ -32,7 +36,7 @@ import scipy.linalg
 from .errors import CrossCheckError, PreconditionError
 from .linalg import (INF, as_matrix, as_pnorm, as_vector, induced_pnorm, oblique_projector,
                      orthogonal_projector, _anchored, _as_count, _incidence_rows)
-from .ergodicity import _column_medians, _scaled, _spectral_norms, _stack_chunks, _tau_values, tau
+from .ergodicity import _column_medians, _scaled, _spectral_norms, _stack_chunks, _tau_values
 from .oracle import WEIGHT_DIMENSION_CAP, oracle_weighted_seminorm
 
 FACTOR_COND_LIMIT = 1e12
@@ -172,6 +176,23 @@ def kernel_invariance_residual(A, weight):
     return float(_kernel_residuals(_weighted(A, weight)[None], weight.kernel)[0])
 
 
+def _kernel_projected(As, kernel):
+    """The stack As (K, n, n) with every matrix whose kernel residual exceeds
+    KERNEL_INVARIANCE_TOL replaced by A P_k = A - (A k) k^T / (k^T k), P_k
+    the orthogonal projector onto k-perp, k = kernel.
+
+    A P_k x = A x for x perp k, and A P_k k = 0, so <k> is A P_k-invariant
+    and the seminorm of A P_k is that of A.  The test only keeps the bits of
+    the invariant matrices, which are returned as they are; the update is
+    taken on a copy, as As may be a view of the caller's array."""
+    outside = _kernel_residuals(As, kernel) > KERNEL_INVARIANCE_TOL
+    if not outside.any():
+        return As
+    As = As.copy(order="K")
+    As[outside] -= (As[outside] @ kernel / float(kernel @ kernel))[:, :, None] * kernel
+    return As
+
+
 def _reduced_seminorms(As, weight, p):
     """|||A_k|||_{p,R} for every A_k of As, a (K, n, n) array or a list of
     n x n arrays, and a weight of any kind but the incidence one, which is
@@ -183,9 +204,9 @@ def _reduced_seminorms(As, weight, p):
     matrix), each chunk stacked, reduced and passed to one tau kernel call,
     so a long sequence is never stacked whole.  The incidence weight at
     p = 2 is reduced as the agreement weight, which has the same kernel and
-    the same seminorm.  Each A_k has its own kernel-invariance test; one that
-    fails it gets the value off the closed forms of the given weight (brute
-    force up to n <= 5, refused above).
+    the same seminorm.  Each A_k whose kernel is not A_k-invariant is taken
+    as A_k P_k by `_kernel_projected`, in the same call; the invariance test
+    is there only to keep the bits of every invariant value.
     """
     reduced = SeminormWeight.agreement(weight.n) if weight.kind == "incidence" else weight
     u, R, S_inv = reduced.anchor, reduced.matrix, None
@@ -193,52 +214,36 @@ def _reduced_seminorms(As, weight, p):
         u, S_inv = scipy.linalg.solve(reduced.s_factor.T, u), scipy.linalg.inv(reduced.s_factor)
     values = []
     for ks in _stack_chunks(len(As), weight.n, weight.n):
-        chunk = np.asarray(As[ks])
-        outside = np.flatnonzero(_kernel_residuals(chunk, weight.kernel) > KERNEL_INVARIANCE_TOL)
-        # refused above n = 5 before any kernel work, as a single matrix is
-        off = [_off_closed_forms(chunk[k], weight, p, invariant=False) for k in outside]
-        Bs = R @ chunk
+        Bs = R @ _kernel_projected(np.asarray(As[ks]), weight.kernel)
         if S_inv is not None:
             Bs = Bs @ S_inv
         values.append(_tau_values(u, Bs.transpose(0, 2, 1), p))
-        values[-1][outside] = off
     return np.concatenate(values)
-
-
-def _off_closed_forms(A, weight, p, invariant):
-    """The value where no closed form applies: brute force up to n <= 5,
-    refused above."""
-    n = weight.n
-    if n <= WEIGHT_DIMENSION_CAP:
-        return oracle_weighted_seminorm(A, weight, p).value
-    if not invariant:
-        raise PreconditionError(
-            "weight kernel is not A-invariant; no closed form and the "
-            f"brute-force evaluator is capped at n <= {WEIGHT_DIMENSION_CAP}")
-    raise PreconditionError(
-        f"incidence weight with p={p} has no closed form here and the "
-        f"brute-force evaluator is capped at n <= {WEIGHT_DIMENSION_CAP}")
 
 
 def induced_seminorm(A, weight, p):
     """Exact R-weighted induced matrix seminorm |||A|||_{p,R}.
 
-    Every weight but the incidence one is R = S Q: Q is an idempotent
-    projector (P_v, Pi_n or Q_w) with kernel ker R and image anchor-perp, and
-    S is the factor of a factored weight, the identity otherwise.  When ker R
-    is A-invariant, R A x = (R A S^-1)(S Q x) and S Q maps ker R-perp onto
-    S(anchor-perp) = (S^-T anchor)-perp, so
+    The definition reads A only on ker R-perp, where A = A P_k, P_k the
+    orthogonal projector onto it, and ker R is A P_k-invariant; so A is
+    taken as A P_k wherever ker R is not A-invariant (the test only keeps
+    the bits of every invariant value), and the closed forms below hold for
+    every A at every n.  Every weight but the incidence one is R = S Q: Q is
+    an idempotent projector (P_v, Pi_n or Q_w) with kernel ker R and image
+    anchor-perp, and S is the factor of a factored weight, the identity
+    otherwise.  With ker R A-invariant, R A x = (R A S^-1)(S Q x) and S Q
+    maps ker R-perp onto S(anchor-perp) = (S^-T anchor)-perp, so
 
-        |||A|||_{p,R} = tau_p(S^-T anchor, (R A S^-1)^T)
+        |||A|||_{p,R} = tau_p(S^-T anchor, (R A P_k S^-1)^T)
 
     for every p; `_reduced_seminorms` evaluates it, here for a stack of one.
     The incidence weight equals the agreement weight up to a factor at
     p = 2.  At p = inf, ||C^T x||_inf <= 1 with x perp 1 lets x range over
-    y - mean(y) 1 with y in [0, 1]^n, so once A 1 = lambda 1 the row pair
-    (a, b) contributes sum_k (A_ak - A_bk)^+ = ||A_a - A_b||_1 / 2 and the
-    value is tau_1(1, A), on every invariant matrix.  The remaining cases (a
-    kernel that is not A-invariant, or incidence p = 1) go to the
-    brute-force evaluator up to n <= 5; larger inputs are refused.
+    y - mean(y) 1 with y in [0, 1]^n, so once A 1 = lambda 1, as A P_1 1 = 0
+    is, the row pair (a, b) contributes sum_k (A_ak - A_bk)^+ = ||A_a -
+    A_b||_1 / 2 and the value is tau_1(1, A P_1).  The incidence weight at p = 1 has no closed
+    form: it goes to the brute-force evaluator up to n <= 5, and larger
+    inputs are refused.
     """
     A = _weighted(A, weight)
     p = as_pnorm(p)
@@ -246,13 +251,16 @@ def induced_seminorm(A, weight, p):
     if weight.kind not in ("orthogonal", "oblique", "agreement", "incidence", "factored"):
         raise PreconditionError(f"unknown weight kind {weight.kind!r}")
 
+    if weight.kind == "incidence" and p == INF:
+        return float(_tau_values(np.ones(n), _kernel_projected(A[None], weight.kernel), 1)[0])
+    if weight.kind == "incidence" and p == 1:
+        if n > WEIGHT_DIMENSION_CAP:
+            raise PreconditionError(
+                f"incidence weight with p={p} has no closed form here and the "
+                f"brute-force evaluator is capped at n <= {WEIGHT_DIMENSION_CAP}")
+        return oracle_weighted_seminorm(A, weight, p).value
     # ||C^T x||_2 = sqrt(2n) ||Pi x||_2 makes the incidence weight at p = 2
     # the agreement one, which `_reduced_seminorms` reduces it to
-    if weight.kind == "incidence" and p != 2:
-        invariant = kernel_invariance_residual(A, weight) <= KERNEL_INVARIANCE_TOL
-        if not invariant or p == 1:
-            return _off_closed_forms(A, weight, p, invariant)
-        return tau(np.ones(n), A, 1).value
     return float(_reduced_seminorms(A[None], weight, p)[0])
 
 

@@ -169,6 +169,37 @@ def test_seminorm_pv_weight_matches_oracle(tmp_path, capsys):
         assert report["residuals"]["kernel_invariance"] < 1e-12
 
 
+def test_seminorm_pv_weight_non_invariant_past_the_oracle_cap_exits_0(tmp_path, capsys,
+                                                                       monkeypatch):
+    # ker P_v is not A-invariant at n = 7: A P_v takes A's place in the
+    # closed form, which answers past the oracle's n <= 5 cap
+    import ergo.oracle
+    from ergo import SeminormWeight, oracle_weighted_seminorm
+    local = np.random.default_rng(41)
+    v = local.uniform(0.5, 2.0, 7)
+    M = local.uniform(-1.0, 1.0, (7, 7))
+    a = _write_csv(tmp_path / "m.csv", M)
+    f = _write_csv(tmp_path / "v.csv", v)
+    monkeypatch.setattr(ergo.oracle, "WEIGHT_DIMENSION_CAP", 7)
+    for p in ("1", "inf"):
+        code, report = run_cli(capsys, "seminorm", str(a), "--weight", f"pv:{f}", "--p", p)
+        assert code == 0
+        assert report["residuals"]["kernel_invariance"] > 1e-8
+        expected = oracle_weighted_seminorm(M, SeminormWeight.orthogonal(v), p).value
+        assert report["result"]["value"] == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_seminorm_incidence_l1_past_the_oracle_cap_exits_3(tmp_path, capsys):
+    # the incidence weight at p = 1 has no closed form: refused at n = 6
+    n = 6
+    a = _write_csv(tmp_path / "m.csv", np.full((n, n), 1.0 / n))
+    assert main(["seminorm", str(a), "--weight", "incidence", "--p", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ergo: incidence weight with p=1 has no closed form here and the "
+                            "brute-force evaluator is capped at n <= 5\n")
+
+
 def test_unknown_anchor_and_weight_exit_2(a22, tmp_path, capsys):
     s = _write_csv(tmp_path / "s.csv", [[2.0, 0.0], [0.0, 1.0]])
     for argv in (("tau", str(a22), "--anchor", "uniform"),

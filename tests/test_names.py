@@ -5,8 +5,9 @@ function must be read in its body, every export but three is read by the
 package, the CLI or the benchmark, one function alone imports a private
 scipy module, one kernel takes every matrix 2-norm, no code that
 `markov.mixing_time` may run reads the weighted-median kernel, one
-generator writes the renormalized powers of a chain, and the oracles import
-from the package only `errors` and `linalg`."""
+generator writes the renormalized powers of a chain, the oracles import
+from the package only `errors` and `linalg`, and `seminorm` calls the
+brute-force oracle only for the incidence weight at p = 1."""
 
 import ast
 import builtins
@@ -365,3 +366,21 @@ def test_one_generator_scans_the_powers():
                        or (isinstance(node, ast.Call)
                            and (_dotted(node.func) or "").split(".")[-1] in ("matmul", "dot"))
                        for node in ast.walk(fn)), fn.name
+
+
+def test_seminorm_calls_the_oracle_only_for_incidence_p1():
+    # A P_k, P_k the projector onto ker R-perp, makes every weight a closed
+    # form at every n but the incidence one at p = 1, which only
+    # `induced_seminorm` hands to the brute-force oracle; the stacked
+    # reduction may run no oracle code at all
+    modules = _definitions()
+    assert "_off_closed_forms" not in modules["seminorm"][0]
+    callers = sorted(name for name, fn in _scopes({"seminorm": modules["seminorm"]})
+                     if any(isinstance(node, ast.Call)
+                            and (_dotted(node.func) or "").split(".")[-1]
+                            == "oracle_weighted_seminorm"
+                            for node in ast.walk(fn)))
+    assert callers == ["seminorm.induced_seminorm"]
+    reduction = _reachable(modules, "seminorm", "_reduced_seminorms")
+    assert "seminorm._kernel_projected" in {f"{mod}.{qual}" for mod, qual, _ in reduction}
+    assert [f"{mod}.{qual}" for mod, qual, _ in reduction if mod == "oracle"] == []

@@ -5,10 +5,13 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
+import ergo.oracle
 from ergo import (INF, CrossCheckError, PreconditionError, SeminormWeight,
                   StochasticMatrix, deflated_norm, dobrushin, dominant_pair,
                   induced_pnorm, induced_seminorm, kernel_invariance_residual,
                   lmi_l2, oracle_weighted_seminorm, orthogonal_projector, tau, vector_seminorm)
+from ergo.ergodicity import _stack_chunks
+from ergo.seminorm import _reduced_seminorms
 
 rng = np.random.default_rng(31)
 
@@ -231,16 +234,97 @@ def test_weight_routes_match_literal_references_beyond_oracle_cap():
                     assert repr(value) == repr(expected), (n, W.kind, p)
 
 
-def test_non_invariant_kernel_falls_back_or_refuses():
+def test_non_invariant_kernel_is_reduced_at_every_n(monkeypatch):
     A = rng.uniform(-1.0, 1.0, (3, 3))
     v = rng.standard_normal(3)
     W = SeminormWeight.orthogonal(v)
     assert kernel_invariance_residual(A, W) > 1e-8
     val = induced_seminorm(A, W, INF)
     assert abs(val - oracle_weighted_seminorm(A, W, INF).value) < 1e-12
+    # A P_v takes A's place past the oracle's n <= 5 cap, where the
+    # non-invariant kernel was refused
     big = rng.uniform(-1.0, 1.0, (7, 7))
-    with pytest.raises(PreconditionError):
-        induced_seminorm(big, SeminormWeight.orthogonal(rng.standard_normal(7)), 1)
+    W = SeminormWeight.orthogonal(rng.standard_normal(7))
+    value = induced_seminorm(big, W, 1)
+    monkeypatch.setattr(ergo.oracle, "WEIGHT_DIMENSION_CAP", 7)
+    assert value == pytest.approx(oracle_weighted_seminorm(big, W, 1).value, rel=1e-13, abs=0.0)
+
+
+def _random_weight(kind, n, gen):
+    """A weight of the given kind on R^n, drawn from gen; a factored one has
+    cond(S) <= 1e4."""
+    if kind == "orthogonal":
+        return SeminormWeight.orthogonal(gen.standard_normal(n))
+    if kind == "oblique":
+        w = gen.uniform(0.1, 1.0, n)
+        return SeminormWeight.oblique(w / w.sum())
+    if kind == "factored":
+        S = gen.standard_normal((n, n))
+        while np.linalg.cond(S) > 1e4:
+            S = gen.standard_normal((n, n))
+        return SeminormWeight.factored(S, gen.standard_normal(n))
+    return getattr(SeminormWeight, kind)(n)
+
+
+def _read_only(A):
+    A = np.array(A)
+    A.setflags(write=False)
+    return A
+
+
+@pytest.mark.parametrize("kind, p", [(kind, p) for kind in ("orthogonal", "oblique", "agreement",
+                                                              "factored") for p in (1, 2, INF)]
+                         + [("incidence", 2), ("incidence", INF)])
+def test_non_invariant_kernels_match_the_oracle(kind, p, monkeypatch):
+    # A P_k, P_k the orthogonal projector onto ker R-perp, takes A's place
+    # in the closed form: within 1e-13 of the oracle, relative, or 1e-12 for
+    # a factored weight, with the oracle's n <= 5 cap lifted to 8; a
+    # read-only A shows that no update is written into the caller's array
+    monkeypatch.setattr(ergo.oracle, "WEIGHT_DIMENSION_CAP", 8)
+    gen = np.random.default_rng(61)
+    for n in range(2, 9):
+        A = _read_only(gen.uniform(-1.0, 1.0, (n, n)))
+        W = _random_weight(kind, n, gen)
+        assert kernel_invariance_residual(A, W) > 1e-8
+        value = induced_seminorm(A, W, p)
+        expected = oracle_weighted_seminorm(A, W, p).value
+        tol = 1e-12 if kind == "factored" else 1e-13
+        assert abs(value - expected) <= tol * expected, n
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_non_invariant_kernels_match_the_svd_oracle_at_p2(n):
+    # the p = 2 oracle has no cap: one SVD on a basis of ker R-perp
+    gen = np.random.default_rng(n)
+    A = gen.uniform(-1.0, 1.0, (n, n))
+    for kind in ("orthogonal", "oblique", "agreement", "factored", "incidence"):
+        W = _random_weight(kind, n, gen)
+        assert kernel_invariance_residual(A, W) > 1e-8
+        value = induced_seminorm(A, W, 2)
+        expected = oracle_weighted_seminorm(A, W, 2).value
+        tol = 1e-12 if kind == "factored" else 1e-13
+        assert abs(value - expected) <= tol * expected, kind
+
+
+@pytest.mark.parametrize("kind, p", [(kind, p) for kind in ("orthogonal", "oblique", "agreement",
+                                                              "factored") for p in (1, 2, INF)]
+                         + [("incidence", 2)])
+def test_mixed_stack_has_the_bits_of_each_single_call(kind, p):
+    # invariant and non-invariant matrices in one stack of three chunks,
+    # read-only: each value has the bits of its own `induced_seminorm` call
+    n = 30
+    gen = np.random.default_rng(67)
+    W = _random_weight(kind, n, gen)
+    k = W.kernel
+    As = gen.uniform(-1.0, 1.0, (20, n, n))
+    invariant = np.arange(20) % 3 == 0
+    As[invariant] -= np.multiply.outer(As[invariant] @ k - 0.3 * k, k / (k @ k))
+    As = _read_only(As)
+    assert len(_stack_chunks(len(As), n, n)) == 3
+    residuals = [kernel_invariance_residual(A, W) for A in As]
+    assert [r <= 1e-8 for r in residuals] == invariant.tolist()
+    values = _reduced_seminorms(As, W, p).tolist()
+    assert [repr(x) for x in values] == [repr(induced_seminorm(A, W, p)) for A in As]
 
 
 def test_conditional_submultiplicativity_agreement():
