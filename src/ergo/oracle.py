@@ -196,14 +196,24 @@ def oracle_weighted_seminorm(A, weight, p):
     witness is U y for z the top right singular vector, scaled to
     ||RUy||_2 = 1; the value is reported with exact = False like every
     eigen route.
+
+    The seminorm does not depend on the scale of R, so R is taken times the
+    power of two 2^-e that puts max |R| in (1/2, 1], where the absolute
+    thresholds of the rank check and of the enumeration hold (C_n^T and P_1,
+    n >= 3, are left as they are); the witness is scaled back by 2^-e, to
+    the units of the weight's own R.
     """
     A = as_matrix(A)
-    R = weight.matrix
     kernel = weight.kernel
     n = weight.n
     if A.shape != (n, n):
         raise PreconditionError("matrix shape does not match weight")
     p = as_pnorm(p)
+    R = weight.matrix
+    top, e = math.frexp(float(np.max(np.abs(R), initial=0.0)))
+    if top == 0.5:
+        e -= 1
+    R = np.ldexp(R, -e)
     _weight_rank_check(R, n)
 
     if p == 2:
@@ -214,7 +224,7 @@ def oracle_weighted_seminorm(A, weight, p):
         M = scipy.linalg.solve_triangular(T, (R @ (A @ U)).T, trans="T").T
         _, s, Vt = np.linalg.svd(M)
         x = U @ scipy.linalg.solve_triangular(T, Vt[0])
-        return OracleResult(float(s[0]), False, x / _pnorm(R @ x, 2))
+        return OracleResult(float(s[0]), False, np.ldexp(x / _pnorm(R @ x, 2), -e))
 
     if n > WEIGHT_DIMENSION_CAP:
         raise PreconditionError(f"exact weighted oracle capped at n <= {WEIGHT_DIMENSION_CAP}")
@@ -235,7 +245,7 @@ def oracle_weighted_seminorm(A, weight, p):
         val = _pnorm(R @ (A @ x), p)
         if val > best:
             best, witness = val, x
-    return OracleResult(float(best), True, witness)
+    return OracleResult(float(best), True, np.ldexp(witness, -e))
 
 
 def _line_search(f, lo=-8.0, hi=8.0):

@@ -7,10 +7,10 @@ Every induced seminorm here is the literal constrained maximum
 
 computed exactly.  It reads A only on ker R-perp, where A equals A P_k, P_k
 the orthogonal projector onto it, and ker R is A P_k-invariant.  So every
-weight but the incidence one reduces to a p-ball inside a hyperplane, that
-is to one call of the exact tau engine in `ergodicity` (the R = S Q
-reduction of `induced_seminorm`), for every A and every n; the incidence
-weight is the agreement weight at p = 2 and tau_1(1, A P_1) at p = inf, and
+weight, as data R = S Q, reduces to a p-ball inside a hyperplane, that is to
+one call of the exact tau engine in `ergodicity` on the tau problem the
+weight builds once, for every A and every n; the incidence weight carries
+the agreement weight's data for p = 2, is tau_1(1, A P_1) at p = inf, and
 neither these nor its vector seminorms read its n(n-1) x n matrix.  Only
 the incidence weight at p = 1 has no closed form: the brute-force oracle
 answers it up to n <= 5, and it is refused above.
@@ -56,45 +56,48 @@ _MASTER_OPTIONS = (("output_flag", False), ("solver", "simplex"), ("simplex_stra
                    ("dual_feasibility_tolerance", LP_TOL))
 
 
+@dataclass(frozen=True, eq=False)
 class SeminormWeight:
-    """Weight matrix R on R^n with a known one-dimensional kernel.
-
-    Construct through the factory classmethods; `kernel` spans ker R and
-    `matrix` is R.  Every kind but the incidence one stores its n x n R when
-    it is built.  The incidence weight's R = C_n^T has n(n-1) rows (8 n^3
-    bytes) and its closed forms never read it, so it is built on the first
-    read of `matrix` (by the brute-force oracle) and kept.
+    """Weight R = S Q on R^n with a one-dimensional kernel, built by the
+    factory classmethods: `kind` is a label, `kernel` spans ker R, Q
+    projects onto `anchor`-perp along it (P_anchor when the two are one
+    vector, else Q_anchor of `oblique_projector`) and S is `s_factor`, None
+    for the identity.  `_reduction`, the tau problem (S^-T anchor, S Q, S^-1
+    or None) of `induced_seminorm`, and `matrix`, R, are built on first read
+    and kept; the incidence weight carries the agreement weight's data, and
+    its `matrix` C_n^T (8 n^3 bytes) is read only by the brute-force oracle.
+    An orthogonal or factored anchor is kept times the power of two that puts
+    max |anchor| in [0.5, 1), as a contiguous copy, so no scale or layout of
+    the caller's vector moves a bit.
     """
 
-    def __init__(self, kind, matrix, kernel, s_factor=None, anchor=None):
-        self.kind = kind
-        if matrix is not None:
-            # an instance attribute shadows the incidence rows built on read
-            self.matrix = matrix
-        self.kernel = kernel
-        self.s_factor = s_factor
-        self.anchor = anchor
+    kind: str
+    kernel: np.ndarray
+    anchor: np.ndarray
+    s_factor: np.ndarray | None = None
 
     @classmethod
     def orthogonal(cls, v):
-        v = as_vector(v, "anchor")
-        return cls("orthogonal", orthogonal_projector(v), v, anchor=v)
+        v = _unit_anchor(as_vector(v, "anchor"))
+        return cls("orthogonal", v, v)
 
     @classmethod
     def oblique(cls, w):
         w = as_vector(w, "anchor")
-        return cls("oblique", oblique_projector(w), np.ones(len(w)), anchor=w)
+        weight = cls("oblique", np.ones(len(w)), w)
+        weight.matrix  # built now, as Q_w refuses an anchor off w^T 1 = 1
+        return weight
 
     @classmethod
     def agreement(cls, n):
         ones = np.ones(_as_count(n, "weight dimension", 1))
-        return cls("agreement", orthogonal_projector(ones), ones, anchor=ones)
+        return cls("agreement", ones, ones)
 
     @classmethod
     def incidence(cls, n):
         if _as_count(n, "weight dimension", 1) < 2:
             raise PreconditionError("complete graph incidence needs n >= 2")
-        return cls("incidence", None, np.ones(n))
+        return cls("incidence", np.ones(n), np.ones(n))
 
     @classmethod
     def factored(cls, S, v):
@@ -105,12 +108,20 @@ class SeminormWeight:
         cond = np.linalg.cond(S)
         if not np.isfinite(cond) or cond >= FACTOR_COND_LIMIT:
             raise PreconditionError(f"factor condition number {cond:.3e} exceeds 1e12")
-        R = S @ orthogonal_projector(v)
-        return cls("factored", R, v, s_factor=S, anchor=v)
+        v = _unit_anchor(v)
+        return cls("factored", v, v, S)
+
+    @functools.cached_property
+    def _reduction(self):
+        v, S = self.anchor, self.s_factor
+        Q = orthogonal_projector(v) if np.array_equal(self.kernel, v) else oblique_projector(v)
+        if S is None:
+            return v, Q, None
+        return scipy.linalg.solve(S.T, v), S @ Q, scipy.linalg.inv(S)
 
     @functools.cached_property
     def matrix(self):
-        return _incidence_rows(self.n)
+        return _incidence_rows(self.n) if self.kind == "incidence" else self._reduction[1]
 
     @property
     def n(self):
@@ -118,6 +129,15 @@ class SeminormWeight:
 
     def __repr__(self):
         return f"SeminormWeight(kind={self.kind!r}, n={self.n})"
+
+
+def _unit_anchor(v):
+    """The anchor v times the power of two that puts max |v| in [0.5, 1), as
+    a contiguous copy; a zero anchor, which has no projector, is refused."""
+    top = np.maximum.reduce(np.abs(v))
+    if top == 0.0:
+        raise PreconditionError("projector anchor must be nonzero")
+    return np.ldexp(v, -np.frexp(top)[1])
 
 
 def vector_seminorm(x, weight, p):
@@ -198,20 +218,16 @@ def _reduced_seminorms(As, weight, p):
     n x n arrays, and a weight of any kind but the incidence one, which is
     taken at p = 2 only; p is already normalized.  Returns K values.
 
-    The R = S Q reduction of `induced_seminorm`, run for a stack: S^-T anchor
-    and S^-1 are formed once, and the matrices are taken in the chunks of
+    The R = S Q reduction of `induced_seminorm`, run for a stack on the tau
+    problem the weight builds once.  The matrices are taken in the chunks of
     `ergodicity._stack_chunks` (at most BLOCK_ENTRIES entries, or one
     matrix), each chunk stacked, reduced and passed to one tau kernel call,
-    so a long sequence is never stacked whole.  The incidence weight at
-    p = 2 is reduced as the agreement weight, which has the same kernel and
-    the same seminorm.  Each A_k whose kernel is not A_k-invariant is taken
-    as A_k P_k by `_kernel_projected`, in the same call; the invariance test
-    is there only to keep the bits of every invariant value.
+    so a long sequence is never stacked whole.  Each A_k whose kernel is not
+    A_k-invariant is taken as A_k P_k by `_kernel_projected`, in the same
+    call; the invariance test is there only to keep the bits of every
+    invariant value.
     """
-    reduced = SeminormWeight.agreement(weight.n) if weight.kind == "incidence" else weight
-    u, R, S_inv = reduced.anchor, reduced.matrix, None
-    if reduced.s_factor is not None:
-        u, S_inv = scipy.linalg.solve(reduced.s_factor.T, u), scipy.linalg.inv(reduced.s_factor)
+    u, R, S_inv = weight._reduction
     values = []
     for ks in _stack_chunks(len(As), weight.n, weight.n):
         Bs = R @ _kernel_projected(np.asarray(As[ks]), weight.kernel)
@@ -229,7 +245,7 @@ def induced_seminorm(A, weight, p):
     taken as A P_k wherever ker R is not A-invariant (the test only keeps
     the bits of every invariant value), and the closed forms below hold for
     every A at every n.  Every weight but the incidence one is R = S Q: Q is
-    an idempotent projector (P_v, Pi_n or Q_w) with kernel ker R and image
+    an idempotent projector (P_v, P_1 or Q_w) with kernel ker R and image
     anchor-perp, and S is the factor of a factored weight, the identity
     otherwise.  With ker R A-invariant, R A x = (R A S^-1)(S Q x) and S Q
     maps ker R-perp onto S(anchor-perp) = (S^-T anchor)-perp, so
@@ -237,20 +253,17 @@ def induced_seminorm(A, weight, p):
         |||A|||_{p,R} = tau_p(S^-T anchor, (R A P_k S^-1)^T)
 
     for every p; `_reduced_seminorms` evaluates it, here for a stack of one.
-    The incidence weight equals the agreement weight up to a factor at
-    p = 2.  At p = inf, ||C^T x||_inf <= 1 with x perp 1 lets x range over
-    y - mean(y) 1 with y in [0, 1]^n, so once A 1 = lambda 1, as A P_1 1 = 0
-    is, the row pair (a, b) contributes sum_k (A_ak - A_bk)^+ = ||A_a -
-    A_b||_1 / 2 and the value is tau_1(1, A P_1).  The incidence weight at p = 1 has no closed
-    form: it goes to the brute-force evaluator up to n <= 5, and larger
-    inputs are refused.
+    At p = 2 the incidence weight is reduced as the agreement one, whose
+    data it carries.  At p = inf, ||C^T x||_inf <= 1 with x perp 1 lets x
+    range over y - mean(y) 1 with y in [0, 1]^n, so once A 1 = lambda 1, as
+    A P_1 1 = 0 is, the row pair (a, b) contributes sum_k (A_ak - A_bk)^+ =
+    ||A_a - A_b||_1 / 2 and the value is tau_1(1, A P_1).  The incidence
+    weight at p = 1 has no closed form: it goes to the brute-force evaluator
+    up to n <= 5, and larger inputs are refused.
     """
     A = _weighted(A, weight)
     p = as_pnorm(p)
     n = weight.n
-    if weight.kind not in ("orthogonal", "oblique", "agreement", "incidence", "factored"):
-        raise PreconditionError(f"unknown weight kind {weight.kind!r}")
-
     if weight.kind == "incidence" and p == INF:
         return float(_tau_values(np.ones(n), _kernel_projected(A[None], weight.kernel), 1)[0])
     if weight.kind == "incidence" and p == 1:
@@ -259,8 +272,6 @@ def induced_seminorm(A, weight, p):
                 f"incidence weight with p={p} has no closed form here and the "
                 f"brute-force evaluator is capped at n <= {WEIGHT_DIMENSION_CAP}")
         return oracle_weighted_seminorm(A, weight, p).value
-    # ||C^T x||_2 = sqrt(2n) ||Pi x||_2 makes the incidence weight at p = 2
-    # the agreement one, which `_reduced_seminorms` reduces it to
     return float(_reduced_seminorms(A[None], weight, p)[0])
 
 

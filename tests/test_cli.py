@@ -189,6 +189,21 @@ def test_seminorm_pv_weight_non_invariant_past_the_oracle_cap_exits_0(tmp_path, 
         assert report["result"]["value"] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
+def test_seminorm_pv_weight_at_an_extreme_anchor_scale_exits_0(tmp_path, capsys):
+    # v v^T / (v^T v) overflowed on an anchor at 2^600: p = 1 and inf
+    # reported nan and p = 2 raised a cross-check error
+    local = np.random.default_rng(43)
+    v = local.uniform(0.5, 2.0, 4)
+    a = _write_csv(tmp_path / "m.csv", local.uniform(-1.0, 1.0, (4, 4)))
+    plain, huge = _write_csv(tmp_path / "v.csv", v), _write_csv(tmp_path / "h.csv", np.ldexp(v, 600))
+    for p in ("1", "2", "inf"):
+        code, report = run_cli(capsys, "seminorm", str(a), "--weight", f"pv:{huge}", "--p", p)
+        assert code == 0
+        _, expected = run_cli(capsys, "seminorm", str(a), "--weight", f"pv:{plain}", "--p", p)
+        assert (report["result"], report["residuals"]) == (expected["result"],
+                                                           expected["residuals"])
+
+
 def test_seminorm_incidence_l1_past_the_oracle_cap_exits_3(tmp_path, capsys):
     # the incidence weight at p = 1 has no closed form: refused at n = 6
     n = 6

@@ -6,8 +6,9 @@ package, the CLI or the benchmark, one function alone imports a private
 scipy module, one kernel takes every matrix 2-norm, no code that
 `markov.mixing_time` may run reads the weighted-median kernel, one
 generator writes the renormalized powers of a chain, the oracles import
-from the package only `errors` and `linalg`, and `seminorm` calls the
-brute-force oracle only for the incidence weight at p = 1."""
+from the package only `errors` and `linalg`, `seminorm` calls the
+brute-force oracle only for the incidence weight at p = 1, and only the
+incidence closed forms dispatch on a weight's kind."""
 
 import ast
 import builtins
@@ -149,10 +150,13 @@ def test_one_function_imports_private_scipy():
     assert importers == ["seminorm._highs"]
 
 
-def test_two_functions_take_binary_exponents():
+def test_listed_functions_alone_take_binary_exponents():
     # `ergodicity._scaled` scales every tau and Psi kernel's operands by
     # powers of two; `seminorm._deflate_linf` fixes the box exponent that
-    # keeps its LP tolerances relative.  No other function picks a scale
+    # keeps its LP tolerances relative; `seminorm._unit_anchor` scales a
+    # projector's anchor, which is of degree zero in P_v, as `_scaled` does
+    # its v; and `oracle.oracle_weighted_seminorm` scales R, as the oracles
+    # may not import `_scaled`.  No other function picks a scale
     takers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -169,7 +173,8 @@ def test_two_functions_take_binary_exponents():
                     takers.append(f"{path.stem}.{fn.name}")
                     break
                 stack.extend(ast.iter_child_nodes(node))
-    assert takers == ["ergodicity._scaled", "seminorm._deflate_linf"]
+    assert takers == ["ergodicity._scaled", "oracle.oracle_weighted_seminorm",
+                      "seminorm._unit_anchor", "seminorm._deflate_linf"]
 
 
 #: singular-value routines: each one gives a matrix 2-norm
@@ -384,3 +389,27 @@ def test_seminorm_calls_the_oracle_only_for_incidence_p1():
     reduction = _reachable(modules, "seminorm", "_reduced_seminorms")
     assert "seminorm._kernel_projected" in {f"{mod}.{qual}" for mod, qual, _ in reduction}
     assert [f"{mod}.{qual}" for mod, qual, _ in reduction if mod == "oracle"] == []
+
+
+#: every function that reads a weight's `.kind`: the incidence closed forms,
+#: the incidence rows built on read, the oracle's two-level points, the repr
+#: and the CLI payloads
+KIND_READERS = {"seminorm.vector_seminorm", "seminorm.induced_seminorm",
+                "seminorm.SeminormWeight.matrix", "seminorm.SeminormWeight.__repr__",
+                "oracle.oracle_weighted_seminorm", "cli.cmd_seminorm", "cli.cmd_certify"}
+
+
+def test_only_the_incidence_closed_forms_read_the_weight_kind():
+    # a weight is the data of R = S Q with its kind a label: the stacked
+    # reduction reads the tau problem the weight builds once, and neither
+    # reads the kind, builds a weight nor solves with scipy
+    modules = _definitions()
+    readers = {name for name, fn in _scopes(modules)
+               if any(isinstance(node, ast.Attribute) and node.attr == "kind"
+                      and isinstance(node.ctx, ast.Load) for node in ast.walk(fn))}
+    assert readers == KIND_READERS
+    reduction = modules["seminorm"][0]["_reduced_seminorms"]
+    names = {_dotted(node) for node in ast.walk(reduction)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not any(name and (name.split(".")[0] in ("scipy", "SeminormWeight")
+                             or name.endswith(".kind")) for name in names)

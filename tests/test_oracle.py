@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ergo import (INF, PreconditionError, SeminormWeight, deflated_norm,
+from ergo import (INF, PreconditionError, SeminormWeight, deflated_norm, induced_seminorm,
                   oracle_deflation, oracle_tau, oracle_weighted_seminorm, tau)
 
 rng = np.random.default_rng(61)
@@ -82,8 +82,8 @@ def test_oracle_weighted_cap_and_rank_guard():
     big = rng.uniform(-1.0, 1.0, (6, 6))
     with pytest.raises(PreconditionError):
         oracle_weighted_seminorm(big, SeminormWeight.agreement(6), 1)
-    W = SeminormWeight.agreement(4)
-    W.matrix = np.zeros((4, 4))  # degenerate weight must be refused
+    # a degenerate weight, R = S P_1 of numerical rank 2, must be refused
+    W = SeminormWeight("factored", np.ones(4), np.ones(4), np.diag([1.0, 1.0, 1e-12, 1e-12]))
     with pytest.raises(PreconditionError):
         oracle_weighted_seminorm(np.eye(4), W, INF)
 
@@ -201,6 +201,30 @@ def test_oracle_weighted_p2_against_40_digits():
                 assert abs(np.linalg.norm(W.matrix @ (A @ x)) - res.value) < 1e-12 * res.value
     one = oracle_weighted_seminorm(np.eye(1), SeminormWeight.agreement(1), 2)
     assert one.value == 0.0 and one.witness.tolist() == [0.0]
+
+
+def test_oracle_weighted_is_free_of_the_scale_of_R():
+    # the rank and vertex thresholds are absolute: on c I and c times a
+    # graded factor, c = 1e-8 to 1e8, the p = inf oracle returned 0 and the
+    # p = 1 one drifted off the closed form; now within 1e-13, relative,
+    # with a witness feasible for the weight's own R
+    local = np.random.default_rng(79)
+    for n in range(2, 6):
+        M = local.uniform(0.0, 1.0, (n, n))
+        A = M / M.sum(axis=1, keepdims=True)
+        Q1, _ = np.linalg.qr(local.standard_normal((n, n)))
+        Q2, _ = np.linalg.qr(local.standard_normal((n, n)))
+        graded = (Q1 * np.logspace(0, -3, n)) @ Q2.T
+        for c in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            for F in (c * np.eye(n), c * graded):
+                W = SeminormWeight.factored(F, np.ones(n))
+                for p, norm in ((1, lambda y: np.sum(np.abs(y))),
+                                (INF, lambda y: np.max(np.abs(y)))):
+                    res = oracle_weighted_seminorm(A, W, p)
+                    value = induced_seminorm(A, W, p)
+                    assert abs(res.value - value) <= 1e-13 * value, (n, c, p)
+                    assert norm(W.matrix @ res.witness) <= 1.0 + 1e-12
+                    assert abs(norm(W.matrix @ (A @ res.witness)) - res.value) <= 1e-12 * res.value
 
 
 def test_oracles_refuse_a_malformed_anchor():

@@ -39,10 +39,6 @@ def test_weight_construction():
     assert W.matrix.shape == (6, 3)
     with pytest.raises(PreconditionError):
         SeminormWeight.factored(np.zeros((2, 2)), np.ones(2))
-    unknown = SeminormWeight("unknown", orthogonal_projector(np.ones(2)), np.ones(2),
-                             anchor=np.ones(2))
-    with pytest.raises(PreconditionError, match="unknown weight kind"):
-        induced_seminorm(A22, unknown, 1)
 
 
 def test_weight_dimension_and_matrix_refusals():
@@ -325,6 +321,50 @@ def test_mixed_stack_has_the_bits_of_each_single_call(kind, p):
     assert [r <= 1e-8 for r in residuals] == invariant.tolist()
     values = _reduced_seminorms(As, W, p).tolist()
     assert [repr(x) for x in values] == [repr(induced_seminorm(A, W, p)) for A in As]
+
+
+def test_each_weight_builds_its_reduction_once(monkeypatch):
+    # S^-1 is formed on the first evaluation and kept: one inverse over
+    # p = 1, 2, inf and a stack of two chunks, with the bits of fresh weights
+    n = 30
+    gen = np.random.default_rng(83)
+    W = _random_weight("factored", n, gen)
+    A = gen.uniform(-1.0, 1.0, (n, n))
+    As = gen.uniform(-1.0, 1.0, (12, n, n))
+    assert len(_stack_chunks(len(As), n, n)) == 2
+    inverses, inv = [], scipy.linalg.inv
+    monkeypatch.setattr(scipy.linalg, "inv", lambda S: inverses.append(S) or inv(S))
+
+    def values(weight):
+        return ([induced_seminorm(A, weight, p) for p in (1, 2, INF)]
+                + _reduced_seminorms(As, weight, 1).tolist())
+    once = values(W)
+    assert len(inverses) == 1
+    fresh = [repr(induced_seminorm(A, SeminormWeight.factored(W.s_factor, W.anchor), p))
+             for p in (1, 2, INF)]
+    fresh += [repr(x) for x in _reduced_seminorms(
+        As, SeminormWeight.factored(W.s_factor, W.anchor), 1).tolist()]
+    assert [repr(x) for x in once] == fresh
+
+
+def test_weights_are_free_of_the_anchor_scale_and_layout():
+    # P_v is of degree zero in v: anchors at 2^600 and 2^-600, where v v^T /
+    # (v^T v) overflowed to nan or was refused as zero, and a strided view
+    # give the bits of the plain contiguous anchor
+    gen = np.random.default_rng(89)
+    for n in (2, 5, 8):
+        A = gen.uniform(-1.0, 1.0, (n, n))
+        S = _random_weight("factored", n, gen).s_factor
+        vecs = gen.standard_normal((n, 3))
+        v = vecs[:, 1]
+        assert not v.flags.c_contiguous
+        for make in (SeminormWeight.orthogonal, lambda u: SeminormWeight.factored(S, u)):
+            plain = make(v.copy())
+            expected = [repr(induced_seminorm(A, plain, p)) for p in (1, 2, INF)]
+            for anchor in (np.ldexp(v, 600), np.ldexp(v, -600), v):
+                W = make(anchor)
+                assert [repr(induced_seminorm(A, W, p)) for p in (1, 2, INF)] == expected
+                assert repr(vector_seminorm(A[0], W, 1)) == repr(vector_seminorm(A[0], plain, 1))
 
 
 def test_conditional_submultiplicativity_agreement():
