@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import PreconditionError
+from .errors import CrossCheckError, PreconditionError
 
 INF = math.inf
 
@@ -259,50 +259,59 @@ class StochasticMatrix:
         self.positive_diagonal = bool(positive_diagonal)
         self.primitive = bool(primitive)
 
+    @property
+    def matrix(self):
+        """The matrix, read-only; assigning one drops the pair held for the old."""
+        return self._matrix
+
+    @matrix.setter
+    def matrix(self, matrix):
+        self._matrix, self._pair = matrix.view(), None
+        self._matrix.setflags(write=False)
+
     def __repr__(self):
         return (f"StochasticMatrix(n={self.n}, primitive={self.primitive}, "
                 f"doubly_stochastic={self.doubly_stochastic}, "
                 f"positive_diagonal={self.positive_diagonal})")
 
 
+def _gth(M):
+    """pi of an irreducible row-stochastic M by GTH elimination (Grassmann,
+    Taksar & Heyman, Oper. Res. 33, 1985).  No step subtracts, so each entry
+    is accurate in relative terms (O'Cinneide, Numer. Math. 65, 1993); a pi
+    past the float64 range overflows and is refused."""
+    P, n = np.array(M), len(M)
+    pi = np.ones(n)
+    with np.errstate(all="ignore"):
+        for k in range(n - 1, 0, -1):
+            P[:k, k] /= P[k, :k].sum()
+            P[:k, :k] += np.outer(P[:k, k], P[k, :k])
+        for k in range(1, n):
+            pi[k] = pi[:k] @ P[:k, k]
+        total = pi.sum()
+    if not np.isfinite(total):
+        raise PreconditionError("the stationary distribution spans more than the float64 range")
+    return pi / total
+
+
 def dominant_pair(A):
     """Right/left dominant eigen-pair (1_n, pi) of a primitive stochastic matrix.
 
-    pi is found by power iteration on A^T (with a direct linear solve as
-    fallback for slowly mixing chains), and a residual ||A^T pi - pi||_1
-    above 1e-12 is refused.  The residual does not certify pi: it bounds the
-    error only through 1/(1 - tau_1), so on a nearly decomposable chain
-    (two blocks coupled by 1e-12) pi can be far off entrywise with its
-    residual below 1e-12.
+    pi comes from one GTH elimination, exact to rounding entrywise, and is
+    cross-checked by its residual ||A^T pi - pi||_1 <= 1e-12.  The read-only
+    pair is held on the `StochasticMatrix`; a raw array gets a fresh one.
     """
-    A = StochasticMatrix.of(A, "a unique stationary distribution")
-    M = A.matrix.T
-    n = A.n
-    pi = np.full(n, 1.0 / n)
-    for _ in range(100_000):
-        nxt = M @ pi
-        nxt /= nxt.sum()
-        if np.linalg.norm(M @ nxt - nxt, 1) <= 1e-12:
-            pi = nxt
-            break
-        pi = nxt
-    else:
-        # direct solve of (A^T - I) pi = 0 with the simplex normalization
-        sys = np.vstack([M - np.eye(n), np.ones((1, n))])
-        rhs = np.zeros(n + 1)
-        rhs[-1] = 1.0
-        pi = np.linalg.lstsq(sys, rhs, rcond=None)[0]
-        pi = np.clip(pi, 0.0, None)
-        pi /= pi.sum()
-        for _ in range(200):
-            if np.linalg.norm(M @ pi - pi, 1) <= 1e-12:
-                break
-            pi = M @ pi
-            pi /= pi.sum()
-    residual = np.linalg.norm(M @ pi - pi, 1)
-    if residual > 1e-12:
-        raise PreconditionError(f"stationary residual {residual:.3e} above 1e-12")
-    return np.ones(n), as_distribution(pi)
+    S = StochasticMatrix.of(A, "a unique stationary distribution")
+    if S._pair is None:
+        pi = as_distribution(_gth(S.matrix))
+        residual = np.linalg.norm(S.matrix.T @ pi - pi, 1)
+        if residual > 1e-12:
+            raise CrossCheckError(f"stationary residual {residual:.3e} above 1e-12")
+        ones = np.ones(S.n)
+        ones.setflags(write=False)
+        pi.setflags(write=False)
+        S._pair = ones, pi
+    return S._pair
 
 
 @dataclass
@@ -313,12 +322,14 @@ class EigenDecomposition:
     `basis` holds it and `diagonalizable` is set.  If LAPACK's vectors fail
     that test, each repeated real eigenvalue gets an orthonormal basis of its
     eigenspace (and exactly real values) and the test is repeated.
-    Otherwise the basis is rejected: `basis` is None.
+    Otherwise the basis is rejected: `basis` is None.  `perron` is LAPACK's
+    column for values[0] either way, the Perron vector of a primitive matrix.
     """
 
     values: np.ndarray
     diagonalizable: bool
     basis: np.ndarray | None
+    perron: np.ndarray
 
 
 def _condition(vectors):
@@ -359,12 +370,9 @@ def eigendecompose(A):
     if A.size == 0:
         raise PreconditionError("matrix must have at least one entry")
     values, vectors = _by_modulus(*np.linalg.eig(A))
+    perron = vectors[:, 0]
     diagonalizable = _condition(vectors) < DIAGONALIZABLE_COND
     if not diagonalizable:
         values, vectors = _orthonormal_eigenspaces(A, values, vectors)
         diagonalizable = _condition(vectors) < DIAGONALIZABLE_COND
-    return EigenDecomposition(
-        values=values,
-        diagonalizable=diagonalizable,
-        basis=vectors if diagonalizable else None,
-    )
+    return EigenDecomposition(values, diagonalizable, vectors if diagonalizable else None, perron)

@@ -41,9 +41,9 @@ REAL_SPECTRUM_TOL = 1e-9
 @dataclass
 class SpectralReport:
     """`dominant_v` is the unit dominant right eigenvector: the real one of
-    the accepted eigenbasis, or the power-iteration limit for a primitive
-    matrix (Perron-Frobenius makes it converge); None for any other matrix
-    whose basis is rejected or whose dominant eigenvector is complex."""
+    the accepted eigenbasis, else LAPACK's Perron column of a primitive
+    matrix; None for any other matrix whose basis is rejected or whose
+    dominant eigenvector is complex."""
 
     rho_ess: float
     eigen_moduli: list
@@ -83,48 +83,32 @@ def _unwrap(A):
     return A, primitive
 
 
-def _dominant_right(A, decomp, primitive):
-    vec = decomp.values[0]
+def _dominant_right(decomp, primitive):
     v = decomp.basis[:, 0] if decomp.basis is not None else None
-    if v is None or np.max(np.abs(np.imag(v))) > 1e-9 or abs(np.imag(vec)) > 1e-9:
+    if v is None or np.max(np.abs(np.imag(v))) > 1e-9 or abs(np.imag(decomp.values[0])) > 1e-9:
         if not primitive:
             return None
-        # fall back to power iteration; primitive matrices have a simple
-        # positive dominant pair, and A v > 0 for every v > 0
-        n = A.shape[0]
-        v = np.full(n, 1.0 / n)
-        for _ in range(50_000):
-            nxt = A @ v
-            nxt /= np.linalg.norm(nxt)
-            if np.linalg.norm(nxt - v) < 1e-14:
-                break
-            v = nxt
-        return nxt
+        # a primitive matrix's Perron root is simple, so its column serves
+        v = decomp.perron
     v = np.real(v)
     return v / np.linalg.norm(v)
 
 
-def _decompose(M, primitive):
-    """The SpectralReport of M together with the EigenDecomposition it came from."""
-    decomp = eigendecompose(M)
+def _report(M, primitive, decomp):
+    """The SpectralReport of M from its EigenDecomposition."""
     moduli = np.abs(decomp.values)
     if np.all(np.abs(decomp.values - 1.0) <= 1e-9):
         rho = 0.0
     else:
         rho = float(moduli[1]) if len(moduli) > 1 else 0.0
-    v = _dominant_right(M, decomp, primitive)
+    v = _dominant_right(decomp, primitive)
     if primitive:
         P = orthogonal_projector(v)
         rho_deflated = float(np.max(np.abs(np.linalg.eigvals(P @ M))))
         if abs(rho_deflated - rho) > RHO_CROSS_TOL * max(1.0, rho):
             raise CrossCheckError(
                 f"rho_ess cross-check failed: {rho} vs deflated {rho_deflated}")
-    return SpectralReport(
-        rho_ess=rho,
-        eigen_moduli=[float(x) for x in moduli],
-        diagonalizable=decomp.diagonalizable,
-        dominant_v=v,
-    ), decomp
+    return SpectralReport(rho, [float(x) for x in moduli], decomp.diagonalizable, v)
 
 
 def ess_spectral_radius(A):
@@ -135,7 +119,8 @@ def ess_spectral_radius(A):
     for a matrix that is not primitive and has no real dominant eigenvector
     in an accepted eigenbasis (rotations, defective or nilpotent matrices).
     """
-    return _decompose(*_unwrap(A))[0]
+    M, primitive = _unwrap(A)
+    return _report(M, primitive, eigendecompose(M))
 
 
 def optimal_weight(A, epsilon=1e-3):
@@ -152,17 +137,19 @@ def optimal_weight(A, epsilon=1e-3):
 
 
 def _optimal_weight(M, primitive, epsilon, decomposed=None):
-    """`optimal_weight` of an unwrapped matrix; `decomposed` is the
-    `_decompose(M, primitive)` pair when the caller already holds it."""
+    """`optimal_weight` of an unwrapped matrix; `decomposed` is M's (report,
+    decomposition) when the caller holds them.  A rejected basis is refused
+    first: rho_ess's cross-check is ill-conditioned on a defective spectrum."""
     if not epsilon > 0:
         raise PreconditionError("epsilon must be positive")
     if not primitive:
         raise PreconditionError("optimal weight construction needs a primitive matrix")
-    report, decomp = decomposed or _decompose(M, primitive)
+    report, decomp = decomposed or (None, eigendecompose(M))
     if not decomp.diagonalizable:
         raise PreconditionError(
             f"eigenvector basis condition number is at least {DIAGONALIZABLE_COND:g}; "
             "no diagonalizing weight")
+    report = report or _report(M, primitive, decomp)
     rho, v = report.rho_ess, report.dominant_v
     lam, W = decomp.values[1:], decomp.basis[:, 1:]
     certified = float(np.max(np.abs(lam.real) + np.abs(lam.imag), initial=0.0))
@@ -196,7 +183,7 @@ def symmetric_l2_identity(A):
         raise PreconditionError("matrix must be symmetric within 1e-12")
     if not primitive:
         raise PreconditionError("identity holds for primitive matrices")
-    report, _ = _decompose(M, primitive)
+    report = _report(M, primitive, eigendecompose(M))
     value = induced_seminorm(M, SeminormWeight.orthogonal(report.dominant_v), 2)
     if abs(value - report.rho_ess) > 1e-9 * max(1.0, report.rho_ess):
         raise CrossCheckError(

@@ -227,9 +227,10 @@ def suite_spectral(trials=50, seed=0):
 
 def suite_mixing(trials=50, seed=0):
     """Distance-to-stationarity definition against the deflation-norm form,
-    with the ergodicity-coefficient lower bound measured."""
+    and the bracket tau_inf(pi, (A^k)^T) / 2 <= d(A, k) <= tau_inf(pi, (A^k)^T)
+    with the gap of its lower leg measured."""
     rng = np.random.default_rng(seed)
-    g_def, m_coeff = [], []
+    g_def, m_coeff, g_upper = [], [], []
     for _ in range(trials):
         n = int(rng.integers(2, 7))
         S = _random_stochastic(rng, n)
@@ -248,9 +249,11 @@ def suite_mixing(trials=50, seed=0):
             direct = 0.5 * float(np.max(np.sum(np.abs(Ak - np.outer(np.ones(n), pi)), axis=1)))
             g_def.append(abs(d - direct))
             m_coeff.append(d - 0.5 * float(coeff))
+            g_upper.append(d - float(coeff))
     checks = {
         "distance_equals_deflation_norm": {"max_residual": max(g_def), "tolerance": 1e-9},
         "coefficient_lower_bound": {"max_residual": max(0.0, -min(m_coeff)), "tolerance": 1e-10},
+        "coefficient_upper_bound": {"max_residual": max(0.0, max(g_upper)), "tolerance": 1e-10},
     }
     measurements = {"distance_minus_half_tauinf": _stats(m_coeff)}
     return _finish("mixing", trials, seed, checks, measurements)

@@ -594,3 +594,14 @@ def test_tau_past_the_float_range_is_inf_without_a_warning(tmp_path):
         proc = _fresh_python("-m", "ergo.cli", "tau", str(p), "--p", exponent)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["result"]["value"] == "inf"
+
+
+def test_stationary_past_the_float_range_is_one_refusal(tmp_path):
+    # the elimination overflows on a 1e-310 coupling; its RuntimeWarnings
+    # must not reach stderr ahead of the one refusal
+    p = tmp_path / "subnormal.csv"
+    p.write_text("0.5,0.25,0.25\n0.5,0.5,0\n1e-310,0,1\n")
+    proc = _fresh_python("-m", "ergo.cli", "tau", str(p), "--anchor", "stationary")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("ergo: ")
+    assert "float64 range" in proc.stderr

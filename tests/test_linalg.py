@@ -1,8 +1,11 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from ergo import (INF, PreconditionError, StochasticMatrix, as_distribution,
-                  as_pnorm, dominant_pair, eigendecompose, induced_pnorm,
+                  as_pnorm, dobrushin, dominant_pair, eigendecompose, induced_pnorm,
                   oblique_projector, orthogonal_projector, SeminormWeight)
 from ergo.linalg import _boolean_primitive, _incidence_rows
 
@@ -219,6 +222,85 @@ def test_dominant_pair_slow_chain():
     _, pi = dominant_pair(S)
     assert np.linalg.norm(S.matrix.T @ pi - pi, 1) <= 1e-12
     assert np.allclose(pi, [1.0 / 3.0, 2.0 / 3.0], atol=1e-6)
+
+
+def _exact_gth(A):
+    """The stationary distribution of the float entries of A in rational
+    arithmetic, by the same elimination as `linalg._gth`."""
+    P = [[Fraction(x) for x in row] for row in A]
+    n = len(P)
+    for k in range(n - 1, 0, -1):
+        s = sum(P[k][:k])
+        for i in range(k):
+            P[i][k] /= s
+            for j in range(k):
+                P[i][j] += P[i][k] * P[k][j]
+    pi = [Fraction(1)]
+    for k in range(1, n):
+        pi.append(sum(pi[i] * P[i][k] for i in range(k)))
+    total = sum(pi)
+    return [x / total for x in pi]
+
+
+def _coupled_blocks(local, sizes, coupling):
+    """(1 - coupling) times a block-diagonal chain of uniform blocks, plus
+    coupling times a dense uniform chain."""
+    n = sum(sizes)
+    B = np.zeros((n, n))
+    start = 0
+    for m in sizes:
+        B[start:start + m, start:start + m] = local.uniform(size=(m, m))
+        start += m
+    U = local.uniform(size=(n, n))
+    return ((1 - coupling) * B / B.sum(axis=1, keepdims=True)
+            + coupling * U / U.sum(axis=1, keepdims=True))
+
+
+def test_dominant_pair_nearly_decomposable_against_exact_gth():
+    # tau_1(1, A) is within the coupling of 1 here, so a residual below
+    # 1e-12 alone would leave pi far off
+    local = np.random.default_rng(5)
+    cases = [(sizes, c) for sizes in ((4, 4), (3, 5, 4), (10, 10))
+             for c in (1e-6, 1e-9, 1e-12)] + [((13, 13, 14), 1e-12)]
+    for sizes, coupling in cases:
+        S = StochasticMatrix(_coupled_blocks(local, sizes, coupling))
+        _, pi = dominant_pair(S)
+        ref = _exact_gth(S.matrix)
+        got = [Fraction(float(x)) for x in pi]
+        assert max(abs(g - r) / r for g, r in zip(got, ref)) <= 1e-12, (sizes, coupling)
+        # the independent leg: ||pi - ref||_1 <= r / (1 - tau_1(1, A)), with
+        # the residual r of pi taken exactly
+        M = [[Fraction(x) for x in row] for row in S.matrix]
+        r = sum(abs(sum(M[i][j] * got[i] for i in range(S.n)) - got[j]) for j in range(S.n))
+        tau1 = Fraction(dobrushin(S).value)
+        assert tau1 < 1
+        assert sum(abs(g - x) for g, x in zip(got, ref)) <= r / (1 - tau1), (sizes, coupling)
+
+
+def test_dominant_pair_subnormal_coupling():
+    # true pi is about (4 eps, 2 eps, 1): exact at 1e-300, past the float
+    # range at 1e-310, where the elimination overflows and is refused quietly
+    chain = [[0.5, 0.25, 0.25], [0.5, 0.5, 0.0], [1e-300, 0.0, 1.0]]
+    _, pi = dominant_pair(chain)
+    ref = _exact_gth(StochasticMatrix(chain).matrix)
+    assert max(abs(Fraction(float(x)) - r) / r for x, r in zip(pi, ref)) <= 1e-15
+    chain[2][0] = 1e-310
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="float64 range"):
+            dominant_pair(chain)
+
+
+def test_dominant_pair_is_held_on_the_chain():
+    S = StochasticMatrix([[0.5, 0.5], [0.25, 0.75]])
+    pair = dominant_pair(S)
+    assert dominant_pair(S) is pair
+    assert not any(x.flags.writeable for x in (*pair, S.matrix))
+    # a raw array gets a fresh object and so a fresh pair
+    assert dominant_pair(S.matrix) is not dominant_pair(S.matrix)
+    S.matrix = np.array([[0.75, 0.25], [0.25, 0.75]])
+    assert not S.matrix.flags.writeable
+    assert np.allclose(dominant_pair(S)[1], [0.5, 0.5])
 
 
 def test_eigendecompose():

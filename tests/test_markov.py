@@ -262,3 +262,15 @@ def test_distance_by_binary_powering(monkeypatch):
             plain = np.linalg.matrix_power(S.matrix, k)
             plain = plain / plain.sum(axis=1, keepdims=True)
             assert abs(d - 0.5 * np.abs(plain - pi).sum(axis=1).max()) < 1e-12
+
+
+def test_mixing_time_reaches_a_small_epsilon(monkeypatch):
+    # d(A, k) falls to rounding only with pi exact to rounding: an error of
+    # 7e-13 in pi stalls it at 1.9e-13, and the scan refuses at the cap.  A
+    # low cap makes such a regression fail in milliseconds
+    monkeypatch.setattr(markov, "MIXING_CAP", 3000)
+    M = np.random.default_rng(0).uniform(size=(12, 12))
+    S = StochasticMatrix(M / M.sum(axis=1, keepdims=True))
+    report = mixing_time(S, 1e-13)
+    assert report.t_mix == 19
+    assert report.trace[-1][1] <= 1e-13 < report.trace[-2][1]

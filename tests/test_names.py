@@ -5,7 +5,8 @@ function must be read in its body, every export but three is read by the
 package, the CLI or the benchmark, one function alone imports a private
 scipy module, one kernel takes every matrix 2-norm, no code that
 `markov.mixing_time` may run reads the weighted-median kernel, one
-generator writes the renormalized powers of a chain, the oracles import
+generator writes the renormalized powers of a chain, one elimination
+computes the stationary distribution, once per chain, the oracles import
 from the package only `errors` and `linalg`, `seminorm` calls the
 brute-force oracle only for the incidence weight at p = 1, and only the
 incidence closed forms dispatch on a weight's kind."""
@@ -355,22 +356,60 @@ def _scopes(modules):
             yield from ((f"{module}.{cls}.{name}", fn) for name, fn in methods.items())
 
 
+def _callers(modules, callee):
+    return sorted(name for name, fn in _scopes(modules)
+                  if any(isinstance(node, ast.Call)
+                         and (_dotted(node.func) or "").split(".")[-1] == callee
+                         for node in ast.walk(fn)))
+
+
 def test_one_generator_scans_the_powers():
     # `markov._scan` writes A^k = A^(k-1) @ A renormalized once for
     # mixing_time, its identity_residual replay and verify's mixing suite;
     # distance_to_stationarity's squaring is a different route to one power
     modules = _definitions()
-    callers = sorted(name for name, fn in _scopes(modules)
-                     if any(isinstance(node, ast.Call)
-                            and (_dotted(node.func) or "").split(".")[-1] == "_renormalize_rows"
-                            for node in ast.walk(fn)))
-    assert callers == ["markov._scan", "markov.distance_to_stationarity"]
+    assert _callers(modules, "_renormalize_rows") == ["markov._scan",
+                                                      "markov.distance_to_stationarity"]
     functions, classes, _ = modules["markov"]
     for fn in (functions["mixing_time"], classes["MixingReport"]["identity_residual"]):
         assert not any((isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
                        or (isinstance(node, ast.Call)
                            and (_dotted(node.func) or "").split(".")[-1] in ("matmul", "dot"))
                        for node in ast.walk(fn)), fn.name
+
+
+#: every function that reads a stationary distribution, all from `dominant_pair`
+PI_READERS = ["cli._resolve_anchor", "cli._resolve_weight", "contraction.certify_markov",
+              "ergodicity.tau_oblique", "markov.distance_to_stationarity", "markov.mixing_time",
+              "verify.suite_mixing", "verify.suite_oblique"]
+
+
+def test_one_elimination_computes_the_stationary_distribution():
+    # `linalg._gth` computes pi and `dominant_pair` alone calls it, holding
+    # the pair on the chain; no power loop or least-squares fallback is left
+    # in either place that takes a dominant vector
+    modules = _definitions()
+    assert _callers(modules, "_gth") == ["linalg.dominant_pair"]
+    assert _callers(modules, "dominant_pair") == PI_READERS
+    assert _callers(modules, "lstsq") == []
+    loops = (ast.For, ast.While, ast.comprehension)
+    for fn in (modules["linalg"][0]["dominant_pair"], modules["spectral"][0]["_dominant_right"]):
+        assert not any(isinstance(node, loops) for node in ast.walk(fn)), fn.name
+
+
+def test_suites_eliminate_once_per_chain(monkeypatch):
+    from ergo import linalg, run_suite
+    calls = []
+    real = linalg._gth
+
+    def counted(M):
+        calls.append(len(M))
+        return real(M)
+    monkeypatch.setattr(linalg, "_gth", counted)
+    for suite in ("oblique", "mixing"):
+        del calls[:]
+        run_suite(suite, 20)
+        assert len(calls) == 20, suite
 
 
 def test_seminorm_calls_the_oracle_only_for_incidence_p1():
@@ -380,12 +419,8 @@ def test_seminorm_calls_the_oracle_only_for_incidence_p1():
     # reduction may run no oracle code at all
     modules = _definitions()
     assert "_off_closed_forms" not in modules["seminorm"][0]
-    callers = sorted(name for name, fn in _scopes({"seminorm": modules["seminorm"]})
-                     if any(isinstance(node, ast.Call)
-                            and (_dotted(node.func) or "").split(".")[-1]
-                            == "oracle_weighted_seminorm"
-                            for node in ast.walk(fn)))
-    assert callers == ["seminorm.induced_seminorm"]
+    assert _callers({"seminorm": modules["seminorm"]}, "oracle_weighted_seminorm") == [
+        "seminorm.induced_seminorm"]
     reduction = _reachable(modules, "seminorm", "_reduced_seminorms")
     assert "seminorm._kernel_projected" in {f"{mod}.{qual}" for mod, qual, _ in reduction}
     assert [f"{mod}.{qual}" for mod, qual, _ in reduction if mod == "oracle"] == []

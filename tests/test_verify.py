@@ -90,3 +90,14 @@ def test_dobrushin_check_catches_a_fault_in_both_forms(monkeypatch):
     checks = run_suite("incidence", trials=20, seed=0)["checks"]
     assert checks["incidence_sup_equals_dobrushin"]["pass"]
     assert not checks["dobrushin_equals_tau1"]["pass"]
+
+
+def test_coefficient_upper_bound_catches_a_halved_coefficient(monkeypatch):
+    # halving tau_inf(pi, (A^k)^T) keeps the lower leg d >= tau / 2, which
+    # it only strengthens; the upper leg d <= tau must fail
+    from ergo import verify
+    real = verify._tau_values
+    monkeypatch.setattr(verify, "_tau_values", lambda *args: 0.5 * real(*args))
+    checks = run_suite("mixing", trials=20, seed=0)["checks"]
+    assert checks["coefficient_lower_bound"]["pass"]
+    assert not checks["coefficient_upper_bound"]["pass"]
