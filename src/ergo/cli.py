@@ -16,11 +16,11 @@ import numpy as np
 
 from . import __version__
 from .errors import ErgoError, InputFormatError, PreconditionError
-from .linalg import dominant_pair, eigendecompose
+from .linalg import dominant_pair
 from .matrix_io import load_matrix, load_sequence, load_vector
 from .ergodicity import dobrushin, tau
 from .seminorm import SeminormWeight, induced_seminorm, kernel_invariance_residual
-from .spectral import _optimal_weight, _report, _unwrap
+from .spectral import _optimal_weight, _unwrap
 from .markov import mixing_time
 from .contraction import certify_averaging, simulate_and_check
 from .report import render_report
@@ -119,9 +119,8 @@ def cmd_mixing(args):
 
 
 def cmd_rho_ess(args):
-    M, primitive = _unwrap(load_matrix(args.matrix))
-    decomp = eigendecompose(M)
-    report = _report(M, primitive, decomp)
+    spectrum = _unwrap(load_matrix(args.matrix))
+    report = spectrum.report()
     payload = {
         "rho_ess": report.rho_ess,
         "eigen_moduli": report.eigen_moduli,
@@ -129,7 +128,7 @@ def cmd_rho_ess(args):
     }
     residuals = {}
     try:
-        ow = _optimal_weight(M, primitive, args.eps, (report, decomp))
+        ow = _optimal_weight(spectrum, args.eps)
         payload["certificate"] = {
             "certified_value": ow.certified_value,
             "epsilon": ow.epsilon,

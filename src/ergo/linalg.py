@@ -224,6 +224,8 @@ class StochasticMatrix:
     chain goes through `StochasticMatrix.of`, and the checks themselves are
     `_stochastic_stack`, which `contraction.as_sequence` runs once on a
     whole sequence.  `matrix` is row-major whatever the input's layout.
+    The chain's stationary pair (`dominant_pair`) and its spectrum
+    (`spectral._unwrap`) are computed on first use and held on it.
     """
 
     @classmethod
@@ -261,12 +263,13 @@ class StochasticMatrix:
 
     @property
     def matrix(self):
-        """The matrix, read-only; assigning one drops the pair held for the old."""
+        """The matrix, read-only; assigning one drops the stationary pair and
+        the spectrum held for the old."""
         return self._matrix
 
     @matrix.setter
     def matrix(self, matrix):
-        self._matrix, self._pair = matrix.view(), None
+        self._matrix, self._pair, self._spectrum = matrix.view(), None, None
         self._matrix.setflags(write=False)
 
     def __repr__(self):

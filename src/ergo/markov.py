@@ -15,6 +15,8 @@ from .ergodicity import _stack_chunks, _tau_values
 
 MIXING_CAP = 10 ** 6
 DRIFT_TOL = 1e-12
+#: the unit roundoff of float64
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _renormalize_rows(M):
@@ -27,14 +29,42 @@ def _renormalize_rows(M):
     return M
 
 
+def _row_drift(M, g):
+    """A bound on max_i |r_i - 1| over the exact row sums r_i of a
+    nonnegative M, from the computed ones: |fl(r_i) - r_i| <= g r_i."""
+    sums = M.sum(axis=1)
+    return float(np.abs(sums - 1.0).max()) + g * float(sums.max()) / (1.0 - g)
+
+
 def _scan(M):
-    """The powers A^0 = I, A^1, A^2, ... of M, each A^k the product
-    A^(k-1) @ M renormalized in its rows when their drift exceeds DRIFT_TOL;
-    a yielded power is never written again."""
-    Ak = np.eye(len(M))
+    """The powers A^0 = I, A^1, A^2, ... of a nonnegative M, each A^k the
+    product A^(k-1) @ M renormalized in its rows when their drift exceeds
+    DRIFT_TOL; a yielded power is never written again.
+
+    The row sums are checked only on the steps where the check could fire.
+    With g = gamma_n = n u / (1 - n u), u the unit roundoff, a computed
+    product of nonnegative matrices has |fl(A B) - A B| <= g A B (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3), and a computed
+    sum of n nonnegative terms s has |fl(s) - s| <= g s.  So when the exact
+    row sums of A^(k-1) lie within e of 1 and those of M within m, those of
+    fl(A^(k-1) M) lie within e' = e + (1 + e) m + g (1 + e) (1 + m), and
+    the computed ones within e' + g (1 + e').  While that is at most
+    DRIFT_TOL the check cannot fire and is skipped; each check that runs
+    resets e from the power it leaves.  Every decision, and so every power,
+    has the bits of a check at each step.  g carries a 1% margin for the
+    rounding of the bound itself.
+    """
+    n = len(M)
+    g = 1.01 * n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+    m = _row_drift(M, g)
+    Ak, e = np.eye(n), 0.0
     while True:
         yield Ak
-        Ak = _renormalize_rows(Ak @ M)
+        Ak = Ak @ M
+        e += (1.0 + e) * m + g * (1.0 + e) * (1.0 + m)
+        if e + g * (1.0 + e) > DRIFT_TOL:
+            Ak = _renormalize_rows(Ak)
+            e = _row_drift(Ak, g)
 
 
 def _worst_row_tv(Ak, pi):

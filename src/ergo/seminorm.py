@@ -62,10 +62,11 @@ class SeminormWeight:
     factory classmethods: `kind` is a label, `kernel` spans ker R, Q
     projects onto `anchor`-perp along it (P_anchor when the two are one
     vector, else Q_anchor of `oblique_projector`) and S is `s_factor`, None
-    for the identity.  `_reduction`, the tau problem (S^-T anchor, S Q, S^-1
-    or None) of `induced_seminorm`, and `matrix`, R, are built on first read
-    and kept; the incidence weight carries the agreement weight's data, and
-    its `matrix` C_n^T (8 n^3 bytes) is read only by the brute-force oracle.
+    for the identity.  `_projected`, S Q, `_reduction`, the tau problem
+    (S^-T anchor, S Q, S^-1 or None) of `induced_seminorm`, and `matrix`, R,
+    are built on first read and kept, so reading R inverts nothing; the
+    incidence weight carries the agreement weight's data, and its `matrix`
+    C_n^T (8 n^3 bytes) is read only by the brute-force oracle.
     An orthogonal or factored anchor is kept times the power of two that puts
     max |anchor| in [0.5, 1), as a contiguous copy, so no scale or layout of
     the caller's vector moves a bit.
@@ -112,16 +113,22 @@ class SeminormWeight:
         return cls("factored", v, v, S)
 
     @functools.cached_property
-    def _reduction(self):
+    def _projected(self):
+        """S Q, or Q for the identity S: R for every kind but incidence."""
         v, S = self.anchor, self.s_factor
         Q = orthogonal_projector(v) if np.array_equal(self.kernel, v) else oblique_projector(v)
+        return Q if S is None else S @ Q
+
+    @functools.cached_property
+    def _reduction(self):
+        v, S = self.anchor, self.s_factor
         if S is None:
-            return v, Q, None
-        return scipy.linalg.solve(S.T, v), S @ Q, scipy.linalg.inv(S)
+            return v, self._projected, None
+        return scipy.linalg.solve(S.T, v), self._projected, scipy.linalg.inv(S)
 
     @functools.cached_property
     def matrix(self):
-        return _incidence_rows(self.n) if self.kind == "incidence" else self._reduction[1]
+        return _incidence_rows(self.n) if self.kind == "incidence" else self._projected
 
     @property
     def n(self):

@@ -24,7 +24,7 @@ rho_ess) and "schur-complex" otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,16 +71,52 @@ class OptimalWeight:
     regime: str
 
 
+class _Spectrum:
+    """The spectral solve of one square matrix, each part made on first use
+    and kept: `decomposition`, its EigenDecomposition with read-only arrays,
+    and the cross-checked SpectralReport that `report` copies per call.  A
+    StochasticMatrix holds one beside its stationary pair; a raw array gets
+    a fresh one per call.  A failed cross-check is not held, so each call
+    raises it again from the held decomposition."""
+
+    def __init__(self, matrix, primitive):
+        self.matrix, self.primitive = matrix, primitive
+        self._decomposition = self._report = None
+
+    @property
+    def decomposition(self):
+        if self._decomposition is None:
+            decomp = eigendecompose(self.matrix)
+            for a in (decomp.values, decomp.basis, decomp.perron):
+                if a is not None:
+                    a.setflags(write=False)
+            self._decomposition = decomp
+        return self._decomposition
+
+    def report(self):
+        """A SpectralReport of this call's own, with the held values."""
+        if self._report is None:
+            report = _report(self.matrix, self.primitive, self.decomposition)
+            if report.dominant_v is not None:
+                report.dominant_v.setflags(write=False)
+            self._report = report
+        return replace(self._report, eigen_moduli=list(self._report.eigen_moduli))
+
+
 def _unwrap(A):
+    """The _Spectrum of A: a StochasticMatrix's own, made on its first use,
+    or a fresh one over a validated raw array and its primitivity."""
     if isinstance(A, StochasticMatrix):
-        return A.matrix, A.primitive
+        if A._spectrum is None:
+            A._spectrum = _Spectrum(A.matrix, A.primitive)
+        return A._spectrum
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise PreconditionError("square matrix required")
     if A.size == 0:
         raise PreconditionError("matrix must have at least one entry")
     primitive = bool(np.min(A) >= 0.0) and _boolean_primitive(A > 0.0, A.shape[0])
-    return A, primitive
+    return _Spectrum(A, primitive)
 
 
 def _dominant_right(decomp, primitive):
@@ -118,9 +154,10 @@ def ess_spectral_radius(A):
     radius of P_v A, v the dominant right eigenvector.  `dominant_v` is None
     for a matrix that is not primitive and has no real dominant eigenvector
     in an accepted eigenbasis (rotations, defective or nilpotent matrices).
+    A StochasticMatrix solves once and holds the result: later calls, and
+    `optimal_weight` on it, reuse it.
     """
-    M, primitive = _unwrap(A)
-    return _report(M, primitive, eigendecompose(M))
+    return _unwrap(A).report()
 
 
 def optimal_weight(A, epsilon=1e-3):
@@ -133,23 +170,23 @@ def optimal_weight(A, epsilon=1e-3):
     number >= 1e8), or when that value or sqrt(2) |lambda| for a conjugate
     pair lambda exceeds rho_ess + epsilon.
     """
-    return _optimal_weight(*_unwrap(A), epsilon)
+    return _optimal_weight(_unwrap(A), epsilon)
 
 
-def _optimal_weight(M, primitive, epsilon, decomposed=None):
-    """`optimal_weight` of an unwrapped matrix; `decomposed` is M's (report,
-    decomposition) when the caller holds them.  A rejected basis is refused
-    first: rho_ess's cross-check is ill-conditioned on a defective spectrum."""
+def _optimal_weight(spectrum, epsilon):
+    """`optimal_weight` from a _Spectrum.  A rejected basis is refused before
+    the report is built: rho_ess's cross-check is ill-conditioned on a
+    defective spectrum."""
     if not epsilon > 0:
         raise PreconditionError("epsilon must be positive")
-    if not primitive:
+    if not spectrum.primitive:
         raise PreconditionError("optimal weight construction needs a primitive matrix")
-    report, decomp = decomposed or (None, eigendecompose(M))
+    decomp = spectrum.decomposition
     if not decomp.diagonalizable:
         raise PreconditionError(
             f"eigenvector basis condition number is at least {DIAGONALIZABLE_COND:g}; "
             "no diagonalizing weight")
-    report = report or _report(M, primitive, decomp)
+    report = spectrum.report()
     rho, v = report.rho_ess, report.dominant_v
     lam, W = decomp.values[1:], decomp.basis[:, 1:]
     certified = float(np.max(np.abs(lam.real) + np.abs(lam.imag), initial=0.0))
@@ -178,12 +215,13 @@ def symmetric_l2_identity(A):
     of the dominant eigenvector and asserted against the spectral one before
     being returned.
     """
-    M, primitive = _unwrap(A)
+    spectrum = _unwrap(A)
+    M = spectrum.matrix
     if np.max(np.abs(M - M.T)) > 1e-12:
         raise PreconditionError("matrix must be symmetric within 1e-12")
-    if not primitive:
+    if not spectrum.primitive:
         raise PreconditionError("identity holds for primitive matrices")
-    report = _report(M, primitive, eigendecompose(M))
+    report = spectrum.report()
     value = induced_seminorm(M, SeminormWeight.orthogonal(report.dominant_v), 2)
     if abs(value - report.rho_ess) > 1e-9 * max(1.0, report.rho_ess):
         raise CrossCheckError(

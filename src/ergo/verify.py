@@ -210,7 +210,7 @@ def suite_spectral(trials=50, seed=0):
             for p in (1, 2, INF):
                 floor_viol.append(rho - induced_seminorm(S.matrix, W, p))
         for eps in (1e-1, 1e-2, 1e-3):
-            ow = optimal_weight(S.matrix, eps)
+            ow = optimal_weight(S, eps)
             cert_excess.append(ow.certified_value - (rho + eps))
             floor_viol.append(rho - ow.certified_value)
         B = rng.uniform(0.1, 1.0, (n, n))

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,45 @@ def test_mixing_time_renormalized_steps(monkeypatch):
             assert repr(report.identity_residual) == repr(residual)
             assert np.array_equal(np.concatenate(seen), np.array(powers))
     assert renormalized >= 24
+
+
+def test_scan_skips_only_the_checks_that_cannot_fire(monkeypatch):
+    # `_scan` checks the row sums only where its drift bound allows them to
+    # pass DRIFT_TOL: the lazy 20-cycle mixes without one check, and at
+    # tolerances the row sums do pass, where some checks are skipped and
+    # some divide, every power has the bits of a check at each step
+    checks = []
+    renormalize = markov._renormalize_rows
+
+    def counted(M):
+        before = M.copy()
+        out = renormalize(M)
+        checks.append(not np.array_equal(out, before))
+        return out
+
+    monkeypatch.setattr(markov, "_renormalize_rows", counted)
+    assert mixing_time(lazy_cycle(20), 0.01).t_mix == 168
+    assert checks == []
+    local = np.random.default_rng(37)
+    chains = []
+    for _ in range(8):
+        # lazy sparse chains that take 60-500 steps to reach 1e-4
+        n = int(local.integers(2, 26))
+        M = (0.6 * np.eye(n) + local.uniform(0.0, 1.0, (n, n)) ** 3 * (local.random((n, n)) < 0.3)
+             + 0.01 * np.roll(np.eye(n), 1, axis=1))
+        chains.append(StochasticMatrix(M / M.sum(axis=1, keepdims=True)))
+    skipped = divided = 0
+    for tol in (5e-15, 1e-14):
+        monkeypatch.setattr(markov, "DRIFT_TOL", tol)
+        for S in chains:
+            powers = []
+            t_mix, _, _ = _per_step_scan(S, 1e-4, drift_tol=tol, powers=powers)
+            del checks[:]
+            scanned = list(itertools.islice(markov._scan(S.matrix), t_mix + 1))
+            assert np.array_equal(np.array(scanned), np.array(powers))
+            skipped += t_mix - len(checks)
+            divided += sum(checks)
+    assert skipped > 0 and divided > 0
 
 
 def test_mixing_time_memory_bounded_by_chunk():

@@ -6,10 +6,11 @@ package, the CLI or the benchmark, one function alone imports a private
 scipy module, one kernel takes every matrix 2-norm, no code that
 `markov.mixing_time` may run reads the weighted-median kernel, one
 generator writes the renormalized powers of a chain, one elimination
-computes the stationary distribution, once per chain, the oracles import
-from the package only `errors` and `linalg`, `seminorm` calls the
-brute-force oracle only for the incidence weight at p = 1, and only the
-incidence closed forms dispatch on a weight's kind."""
+computes the stationary distribution, once per chain, one holder
+decomposes each matrix, once per chain, the oracles import from the
+package only `errors` and `linalg`, `seminorm` calls the brute-force
+oracle only for the incidence weight at p = 1, and only the incidence
+closed forms dispatch on a weight's kind."""
 
 import ast
 import builtins
@@ -410,6 +411,19 @@ def test_suites_eliminate_once_per_chain(monkeypatch):
         del calls[:]
         run_suite(suite, 20)
         assert len(calls) == 20, suite
+
+
+def test_one_holder_decomposes_each_matrix():
+    # `spectral._Spectrum` alone calls `eigendecompose`, holding the result
+    # on the chain beside its stationary pair, and every spectral entry
+    # point reads it through `_unwrap`; no caller hands a decomposition in
+    modules = _definitions()
+    assert _callers(modules, "eigendecompose") == ["spectral._Spectrum.decomposition"]
+    assert _callers(modules, "_unwrap") == ["cli.cmd_rho_ess", "spectral.ess_spectral_radius",
+                                            "spectral.optimal_weight",
+                                            "spectral.symmetric_l2_identity"]
+    params = modules["spectral"][0]["_optimal_weight"].args
+    assert [a.arg for a in params.args + params.kwonlyargs] == ["spectrum", "epsilon"]
 
 
 def test_seminorm_calls_the_oracle_only_for_incidence_p1():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from ergo import (INF, PreconditionError, SeminormWeight, deflated_norm, induced_seminorm,
-                  oracle_deflation, oracle_tau, oracle_weighted_seminorm, tau)
+                  oracle_deflation, oracle_tau, oracle_weighted_seminorm, tau, vector_seminorm)
 
 rng = np.random.default_rng(61)
 
@@ -86,6 +86,15 @@ def test_oracle_weighted_cap_and_rank_guard():
     W = SeminormWeight("factored", np.ones(4), np.ones(4), np.diag([1.0, 1.0, 1e-12, 1e-12]))
     with pytest.raises(PreconditionError):
         oracle_weighted_seminorm(np.eye(4), W, INF)
+
+
+def test_singular_factor_reaches_the_rank_refusal():
+    # R = S P_1 with S exactly singular: reading R inverts nothing, so the
+    # oracle refuses the rank and R x is still evaluated
+    W = SeminormWeight("factored", np.ones(4), np.ones(4), np.diag([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(PreconditionError, match="one-dimensional kernel"):
+        oracle_weighted_seminorm(np.eye(4), W, INF)
+    assert vector_seminorm(np.arange(4.0), W, 1) == 2.0
 
 
 def test_oracle_deflation_examples():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ergo import (INF, PreconditionError, SeminormWeight, StochasticMatrix,
-                  ess_spectral_radius, induced_seminorm, optimal_weight,
+from ergo import (INF, CrossCheckError, PreconditionError, SeminormWeight, StochasticMatrix,
+                  ess_spectral_radius, run_suite, induced_seminorm, optimal_weight,
                   oracle_weighted_seminorm, symmetric_l2_identity,
                   tau2_subunit_check)
 
@@ -207,6 +207,91 @@ def test_optimal_weight_refuses_defective_spectrum():
     assert StochasticMatrix(A).primitive
     with pytest.raises(PreconditionError):
         optimal_weight(A, 1e-3)
+
+
+def _jordan_family():
+    """The 153 primitive 4x4 chains d I + (1 - d) J/4 + c (b1 b2^T + b2 b3^T),
+    d in {0.4, 0.45, 0.5} and c = 0.010..0.060: a 3x3 Jordan block at d on
+    1-perp, whose eigenvalues are accurate only to about u^(1/3)."""
+    b1, b2, b3 = scipy.linalg.null_space(np.ones((1, 4))).T
+    for d in (0.4, 0.45, 0.5):
+        for c in np.arange(10, 61) / 1000:
+            yield (d * np.eye(4) + (1.0 - d) / 4.0 * np.ones((4, 4))
+                   + c * (np.outer(b1, b2) + np.outer(b2, b3)))
+
+
+def test_defective_family_refusals():
+    # optimal_weight refuses the rejected basis of every chain before the
+    # ill-conditioned rho_ess cross-check, which ess_spectral_radius runs
+    # and fails on most of them (146 raw arrays and 141 normalized chains
+    # of the 153 with LAPACK's rounding at the time of writing).  A failed
+    # check is not held on a StochasticMatrix: its weight is still refused
+    # and the check fails again
+    raw_failed = held_failed = 0
+    for A in _jordan_family():
+        with pytest.raises(PreconditionError, match="no diagonalizing weight"):
+            optimal_weight(A, 1e-3)
+        try:
+            ess_spectral_radius(A)
+        except CrossCheckError:
+            raw_failed += 1
+        S = StochasticMatrix(A)
+        assert S.primitive
+        try:
+            ess_spectral_radius(S)
+        except CrossCheckError:
+            held_failed += 1
+            with pytest.raises(PreconditionError, match="no diagonalizing weight"):
+                optimal_weight(S, 1e-3)
+            with pytest.raises(CrossCheckError):
+                ess_spectral_radius(S)
+    assert raw_failed > 100 and held_failed > 100
+
+
+def _count_decompositions(monkeypatch):
+    import ergo.spectral as spectral
+    calls = []
+    real = spectral.eigendecompose
+
+    def counted(M):
+        calls.append(len(M))
+        return real(M)
+    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    return calls
+
+
+def test_spectral_suite_decomposes_three_times_per_trial(monkeypatch):
+    # the reversible chain once for rho_ess and its three weights, the
+    # symmetric matrix once for each of its two raw-array calls
+    calls = _count_decompositions(monkeypatch)
+    run_suite("spectral", 7)
+    assert len(calls) == 21
+
+
+def test_spectrum_is_held_on_the_chain(monkeypatch):
+    calls = _count_decompositions(monkeypatch)
+    S = random_reversible(5)
+    report = ess_spectral_radius(S)
+    weights = [optimal_weight(S, eps) for eps in (1e-1, 1e-2, 1e-3)]
+    assert len(calls) == 1
+    assert all(ow.rho_ess == report.rho_ess for ow in weights)
+    # every call returns a report of its own over read-only held arrays
+    again = ess_spectral_radius(S)
+    assert again is not report and again.eigen_moduli == report.eigen_moduli
+    again.eigen_moduli.append(2.0)
+    assert ess_spectral_radius(S).eigen_moduli == report.eigen_moduli
+    decomp = S._spectrum.decomposition
+    for held in (report.dominant_v, decomp.values, decomp.basis, decomp.perron):
+        with pytest.raises(ValueError):
+            held[0] = 0.0
+    assert len(calls) == 1
+    # a new matrix drops the spectrum; a raw array gets a fresh one per call
+    S.matrix = random_reversible(5).matrix
+    assert ess_spectral_radius(S).rho_ess != report.rho_ess
+    assert len(calls) == 2
+    ess_spectral_radius(S.matrix)
+    ess_spectral_radius(S.matrix)
+    assert len(calls) == 4
 
 
 def test_optimal_weight_rank_one_chains():
